@@ -1,21 +1,9 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    # Pure-Python install still works; the package selects the fallback
-    # kernels at import time.
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "gcdseq._kernel",
-                ["src/gcdseq/_kernel.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+# optional=True: without a working C compiler the build warns and goes on,
+# and the package runs on the pure-Python kernels.
+setup(
+    ext_modules=[
+        Extension("gcdseq._kernel", ["src/gcdseq/_kernel.c"], optional=True),
+    ]
+)

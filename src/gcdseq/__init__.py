@@ -2,12 +2,12 @@
 sequences, their generalized families, and the finite continued-fraction
 identities they satisfy.
 
-The hot modular-chain kernels live in a compiled extension with a
+The hot modular-chain kernels live in an optional C extension with a
 pure-Python fallback selected at import; ``backend_name()`` tells which one
 is active.
 """
 
-from ._backend import HAVE_EXTENSION, backend_name
+from ._backend import backend_name
 from .families import (
     MAIN,
     ROWLAND,
@@ -27,7 +27,6 @@ from .recurrences import b, b_via_left_factorial, left_factorial, rowland_diff, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_EXTENSION",
     "MAIN",
     "ROWLAND",
     "Classification",

@@ -1,30 +1,21 @@
-"""Kernel selection: the compiled extension when importable, pure Python otherwise.
+"""Kernel selection: the compiled extension when it was built, pure Python otherwise.
 
-Selection happens once at import. Set ``GCDSEQ_PURE_PYTHON=1`` in the
-environment to force the fallback (the benchmark and some tests use this).
-Even with the extension loaded, moduli at or above 2**63 are routed to the
-pure-Python kernels.
+Selection happens once at import. Even with the extension loaded, arguments
+at or above 2**63 are routed to the pure-Python kernels.
 """
-
-import os
 
 from . import _kernels_py
 
-if os.environ.get("GCDSEQ_PURE_PYTHON"):
+try:
+    from . import _kernel as _ext
+except ImportError:
     _ext = None
-else:
-    try:
-        from . import _kernel as _ext
-    except ImportError:
-        _ext = None
 
 _EXT_LIMIT = 1 << 63
 
-HAVE_EXTENSION = _ext is not None
-
 
 def backend_name():
-    return "compiled" if HAVE_EXTENSION else "pure-python"
+    return "pure-python" if _ext is None else "compiled"
 
 
 def b_mod_pair(t, x):

@@ -90,46 +90,81 @@ def _emit(text, out_path):
 # gen
 # ---------------------------------------------------------------------------
 
+_CACHE_FIELDS = {"family", "n", "x", "y_mod_x", "d", "a", "class"}
+
+
+def _read_cache_line(line):
+    """The term dict a cache line holds, or None if the line is malformed."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return None
+    if (not isinstance(rec, dict) or rec.keys() != _CACHE_FIELDS
+            or not isinstance(rec["family"], str)
+            or not all(type(rec[k]) is int for k in ("n", "x", "y_mod_x", "d", "a"))):
+        return None
+    return rec
+
+
+def _cache_entry_ok(family, n, rec):
+    """Whether a well-formed cached term dict is consistent with ``term(family, n)``.
+
+    Rowland terms are cheap and compared whole; the others are checked
+    structurally (numerator, a*d == x, d == gcd(x, y_mod_x) with the residue
+    reduced, and the class of a), since recomputing them is the cost the
+    cache saves.
+    """
+    if family.kind is families.Kind.ROWLAND:
+        return rec == families.term(family, n).as_dict()
+    x = rec["x"]
+    return (
+        x == families.numerator(family, n)
+        and 0 <= rec["y_mod_x"] < x
+        and rec["a"] * rec["d"] == x
+        and math.gcd(x, rec["y_mod_x"]) == rec["d"]
+        and rec["class"] == families._classify(rec["a"]).value
+    )
+
+
 def _cached_records(family, n_from, n_to, cache_path):
     """Term dicts for the range, reading/extending the append-only cache.
 
-    Cached entries are structurally validated (right numerator, a*d == x,
-    gcd consistency with the stored residue); anything suspect is recomputed
-    and the file left as it was.
+    A malformed line, or a cached entry that fails ``_cache_entry_ok``, gets
+    one warning on stderr and its term is recomputed and appended; the later
+    line wins on the next read. Existing lines are never rewritten.
     """
     key = str(family)
     cached = {}
+    ends_mid_line = False
     if cache_path and os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        with open(cache_path, "r", encoding="ascii", errors="replace") as fh:
+            for lineno, line in enumerate(fh, 1):
+                ends_mid_line = not line.endswith("\n")
+                if not line.strip():
                     continue
-                rec = json.loads(line)
+                rec = _read_cache_line(line)
+                if rec is None:
+                    print(f"warning: malformed cache line {lineno}; ignored",
+                          file=sys.stderr)
+                    continue
                 cached[(rec["family"], rec["n"])] = rec
     fresh = []
     records = []
     for n in range(n_from, n_to + 1):
         rec = cached.get((key, n))
-        if rec is not None and family.kind is not families.Kind.ROWLAND:
-            ok = (
-                rec["x"] == families.numerator(family, n)
-                and rec["a"] * rec["d"] == rec["x"]
-                and math.gcd(rec["x"], rec["y_mod_x"]) == rec["d"]
-            )
-            if ok:
+        if rec is not None:
+            if _cache_entry_ok(family, n, rec):
                 records.append(rec)
                 continue
             print(f"warning: invalid cache entry for {key} n={n}; recomputed",
                   file=sys.stderr)
-        elif rec is not None:
-            records.append(rec)
-            continue
         computed = families.term(family, n).as_dict()
         records.append(computed)
         fresh.append(computed)
     if cache_path and fresh:
         with open(cache_path, "a", encoding="ascii") as fh:
+            if ends_mid_line:
+                fh.write("\n")
             for rec in fresh:
                 fh.write(json.dumps(rec) + "\n")
     return records

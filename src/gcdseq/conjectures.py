@@ -29,7 +29,7 @@ from .families import (
     scan,
     term,
 )
-from .primality import PrimalityVerdict, Verdict, is_prime  # noqa: F401  (re-exported surface)
+from .primality import Verdict, is_prime
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,7 @@ from gcdseq import backend_name
 from gcdseq.analytics import compare
 from gcdseq.conjectures import (
     occurrence_index,
-    verify_pair_identities,
     verify_primes_or_one,
-    verify_symmetry,
     verify_triple_rule_a2,
 )
 from gcdseq.contfrac import (
@@ -309,20 +307,15 @@ def test_criterion_8_theorem2_resolution():
 # 9. symmetry, pairs, triple rule
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def pairs_2000():
-    return verify_pair_identities(MAIN, 2000)
-
-
-def test_criterion_9_symmetry():
-    report = verify_symmetry(MAIN, 2000)
+def test_criterion_9_symmetry(symmetry_main_2000):
+    report = symmetry_main_2000
     _report("9a", report.clean,
             f"mirror law holds for all {report.checked} prime terms, n<=2000")
     assert report.clean
     assert report.checked == 1722
 
 
-def test_criterion_9_pairs_as_stated(pairs_2000):
+def test_criterion_9_pairs_as_stated(pairs_main_2000):
     """The stated gcd form of the pairing law fails; its corrected form holds.
 
     For a prime p at exactly two indices n < m, p = n + m - 1 (the additive
@@ -333,7 +326,7 @@ def test_criterion_9_pairs_as_stated(pairs_2000):
     below n leaves p. It is derived from this algebra and checked here, not
     quoted from the paper, whose text does not settle which gcd form it means.
     """
-    report = pairs_2000
+    report = pairs_main_2000
     index = occurrence_index(MAIN, 2000)
     pairs = [(p, occ) for p, occ in sorted(index.prime_occurrences.items())
              if len(occ) == 2]
@@ -370,8 +363,8 @@ def test_criterion_9_pairs_as_stated(pairs_2000):
     assert corrected_failures == []
 
 
-def test_criterion_9_pairs_computed_truth(pairs_2000):
-    report = pairs_2000
+def test_criterion_9_pairs_computed_truth(pairs_main_2000):
+    report = pairs_main_2000
     ok = (report.additive_violations == () and report.multiplicity_violations == ()
           and report.missing_partner == ()
           and report.gcd_violations == PAIR_GCD_COUNTEREXAMPLES_2000)

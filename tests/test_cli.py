@@ -89,17 +89,41 @@ def test_gen_cache_roundtrip(tmp_path, capsys):
     assert cache.read_text().strip().splitlines() == cached_lines  # append-only, no growth
 
 
-def test_gen_cache_detects_corruption(tmp_path, capsys):
+MAIN_3 = {"family": "main", "n": 3, "x": 5, "y_mod_x": 1, "d": 1, "a": 5, "class": "prime"}
+
+
+@pytest.mark.parametrize("content, family, warning, row", [
+    pytest.param(json.dumps({"family": "main", "n": 3, "x": 5, "y_mod_x": 1, "d": 5, "a": 1,
+                             "class": "one"}) + "\n",
+                 "main", "invalid cache entry", "3,5,1,5,prime", id="gcd-mismatch"),
+    pytest.param(json.dumps(MAIN_3)[:30], "main", "malformed cache line", "3,5,1,5,prime",
+                 id="torn-last-line"),
+    pytest.param("[3, 5, 1, 5]\n", "main", "malformed cache line", "3,5,1,5,prime",
+                 id="not-an-object"),
+    pytest.param(json.dumps({k: v for k, v in MAIN_3.items() if k != "d"}) + "\n",
+                 "main", "malformed cache line", "3,5,1,5,prime", id="missing-key"),
+    pytest.param(json.dumps({"family": "rowland", "n": 1, "x": 1, "y_mod_x": 0, "d": 1,
+                             "a": 999, "class": "one"}) + "\n",
+                 "rowland", "invalid cache entry", "1,1,1,1,one", id="rowland-wrong-term"),
+    pytest.param(json.dumps({"family": "main", "n": 3, "x": 5, "y_mod_x": 0, "d": 5, "a": 1,
+                             "class": "prime"}) + "\n",
+                 "main", "invalid cache entry", "3,5,1,5,prime", id="class-mismatch"),
+])
+def test_gen_cache_detects_corruption(tmp_path, capsys, content, family, warning, row):
     cache = tmp_path / "cache.jsonl"
-    bad = {"family": "main", "n": 3, "x": 5, "y_mod_x": 1, "d": 5, "a": 1, "class": "one"}
-    cache.write_text(json.dumps(bad) + "\n")
-    code, out, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "3")
+    cache.write_text(content)
+    n = "1" if family == "rowland" else "3"
+    argv = ("gen", "--family", family, "--from", n, "--to", n)
+    code, clean, err = run(capsys, *argv)
     assert code == 0
-    code, out, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "3",
-                         "--cache", str(cache))
+    _, term_line, _ = run(capsys, *argv, "--format", "jsonl")
+    code, out, err = run(capsys, *argv, "--cache", str(cache))
     assert code == 0
-    assert "invalid cache entry" in err
-    assert out.strip().splitlines()[1] == "3,5,1,5,prime"
+    assert err.count("warning:") == 1 and warning in err
+    assert out == clean
+    assert out.strip().splitlines()[1] == row
+    # the bad line stays as it was; the recomputed term goes on a line of its own
+    assert cache.read_text().splitlines() == [content.rstrip("\n"), term_line.rstrip("\n")]
 
 
 # ---------------------------------------------------------------------------

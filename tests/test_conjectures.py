@@ -98,18 +98,18 @@ def test_pairs_small_range_clean():
     assert report.pairs_checked >= 2  # (4,8) for 11 and (6,24) for 29
 
 
-def test_pairs_additive_always_holds_to_2000():
-    report = verify_pair_identities(MAIN, 2000)
+def test_pairs_additive_always_holds_to_2000(pairs_main_2000):
+    report = pairs_main_2000
     assert report.additive_violations == ()
     assert report.multiplicity_violations == ()
     assert report.missing_partner == ()
 
 
-def test_pairs_gcd_counterexamples_are_exactly_the_known_ones():
+def test_pairs_gcd_counterexamples_are_exactly_the_known_ones(pairs_main_2000):
     # the gcd form of the pairing law fails when the two numerators share a
     # factor besides the prime itself; 19 | x(62) and 19 | x(138) is the
     # smallest case
-    report = verify_pair_identities(MAIN, 2000)
+    report = pairs_main_2000
     assert report.gcd_violations == PAIR_GCD_COUNTEREXAMPLES_2000
     p, n, m, g = PAIR_GCD_COUNTEREXAMPLES_2000[0]
     assert (p, n, m, g) == (199, 62, 138, 3781)
@@ -161,8 +161,8 @@ def test_coverage_reports_absence():
 # full-scale invariants (these are the heavier scans)
 # ---------------------------------------------------------------------------
 
-def test_symmetry_main_2000_invariant():
-    report = verify_symmetry(MAIN, 2000)
+def test_symmetry_main_2000_invariant(symmetry_main_2000):
+    report = symmetry_main_2000
     assert report.clean
     assert report.checked == 1722
 

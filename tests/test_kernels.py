@@ -1,3 +1,12 @@
+import importlib.util
+import math
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+import sysconfig
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,10 +14,50 @@ from hypothesis import strategies as st
 from gcdseq import _backend, _kernels_py
 from gcdseq.recurrences import b
 
-try:
-    from gcdseq import _kernel as ext
-except ImportError:
-    ext = None
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _c_compiler_works(tmp):
+    """Whether the C compiler setuptools would use compiles a trivial file."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    probe = tmp / "probe.c"
+    probe.write_text("int probe(void) { return 0; }\n")
+    try:
+        done = subprocess.run([*shlex.split(cc), "-c", str(probe), "-o", str(tmp / "probe.o")],
+                              capture_output=True)
+    except OSError:
+        return False
+    return done.returncode == 0
+
+
+@pytest.fixture(scope="module")
+def ext(tmp_path_factory):
+    """The compiled kernel module.
+
+    The installed ``gcdseq._kernel`` if the backend loaded it; otherwise
+    ``setup.py`` builds ``src/gcdseq/_kernel.c`` into a temporary directory
+    and the result is loaded from there without entering ``sys.modules``, so
+    the backend the session runs on does not change. Skips only when no C
+    compiler works.
+    """
+    if _backend._ext is not None:
+        return _backend._ext
+    tmp = tmp_path_factory.mktemp("kernel_build")
+    if not _c_compiler_works(tmp):
+        pytest.skip("no working C compiler")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = sorted((tmp / "lib" / "gcdseq").glob("_kernel.*"))
+    if build.returncode or not built:
+        pytest.fail(f"a C compiler works but _kernel.c did not build:\n"
+                    f"{build.stdout}\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("gcdseq._kernel", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_backend_reports_itself():
@@ -22,8 +71,6 @@ def test_pure_python_against_exact_values():
 
 
 def test_pure_python_factorial_mod():
-    import math
-
     for x in (2, 55, 97, 10**12 + 39):
         for m in (0, 1, 2, 7, 25):
             assert _kernels_py.factorial_mod(m, x) == math.factorial(m) % x
@@ -40,19 +87,41 @@ def test_dispatcher_handles_huge_moduli():
     assert _backend.b_mod_pair(12, x) == (b(11) % x, b(12) % x)
 
 
-@pytest.mark.skipif(ext is None, reason="extension not built")
+def test_dispatcher_routes_at_the_compiled_limit(ext, monkeypatch):
+    # x < 2**63 takes the compiled path; x = 2**63 falls back to pure Python
+    fallback = []
+
+    def spy(name):
+        kernel = getattr(_kernels_py, name)
+
+        def recorded(*args):
+            fallback.append(name)
+            return kernel(*args)
+        return recorded
+
+    monkeypatch.setattr(_backend, "_ext", ext)
+    for name in ("b_mod_pair", "factorial_mod"):
+        monkeypatch.setattr(_kernels_py, name, spy(name))
+    assert _backend.backend_name() == "compiled"
+    for x, path in ((2**63 - 1, []), (2**63, ["b_mod_pair", "factorial_mod"])):
+        fallback.clear()
+        assert _backend.b_mod_pair(40, x) == (b(39) % x, b(40) % x)
+        assert _backend.factorial_mod(30, x) == math.factorial(30) % x
+        assert fallback == path, x
+
+
 class TestCompiledKernel:
-    def test_matches_pure_python_small(self):
+    def test_matches_pure_python_small(self, ext):
         for x in (1, 2, 3, 55, 2**31 - 1, 2**31, 2**31 + 1, 2**62 + 11):
             for t in (0, 1, 2, 3, 17, 200):
                 assert ext.b_mod_pair(t, x) == _kernels_py.b_mod_pair(t, x)
 
-    def test_factorial_matches_pure_python(self):
+    def test_factorial_matches_pure_python(self, ext):
         for x in (1, 2, 97, 2**32 - 1, 2**32 + 1, 2**62 + 11):
             for m in (0, 1, 2, 3, 20, 300):
                 assert ext.factorial_mod(m, x) == _kernels_py.factorial_mod(m, x)
 
-    def test_rejects_out_of_domain(self):
+    def test_rejects_out_of_domain(self, ext):
         with pytest.raises(ValueError):
             ext.b_mod_pair(5, 0)
         with pytest.raises(ValueError):
@@ -61,13 +130,19 @@ class TestCompiledKernel:
             ext.b_mod_pair(-1, 7)
         with pytest.raises(ValueError):
             ext.factorial_mod(-1, 7)
+        # oversized or negative ints are rejected, never wrapped to 64 bits
+        for t, x in ((5, 2**64 + 7), (5, -7), (2**64 + 5, 7), (2**63, 7)):
+            with pytest.raises(ValueError):
+                ext.b_mod_pair(t, x)
+            with pytest.raises(ValueError):
+                ext.factorial_mod(t, x)
 
     @settings(max_examples=250, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2500),
         st.integers(min_value=1, max_value=2**63 - 1),
     )
-    def test_b_mod_pair_equivalence(self, t, x):
+    def test_b_mod_pair_equivalence(self, ext, t, x):
         assert ext.b_mod_pair(t, x) == _kernels_py.b_mod_pair(t, x)
 
     @settings(max_examples=250, deadline=None)
@@ -75,10 +150,10 @@ class TestCompiledKernel:
         st.integers(min_value=0, max_value=4000),
         st.integers(min_value=1, max_value=2**63 - 1),
     )
-    def test_factorial_mod_equivalence(self, m, x):
+    def test_factorial_mod_equivalence(self, ext, m, x):
         assert ext.factorial_mod(m, x) == _kernels_py.factorial_mod(m, x)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=600), st.integers(min_value=1, max_value=10**18))
-    def test_word_and_wide_paths_agree_with_exact(self, t, x):
+    def test_word_and_wide_paths_agree_with_exact(self, ext, t, x):
         assert ext.b_mod_pair(t, x) == (b(t - 1) % x, b(t) % x)
