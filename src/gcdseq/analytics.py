@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import EmptyRange
 from .families import Classification, FamilySpec, Kind, MAIN, ROWLAND, scan
 
 
@@ -32,7 +33,7 @@ class EfficiencyReport:
 def efficiency(family: FamilySpec, count: int, window: int | None = None) -> EfficiencyReport:
     """Measure the first ``count`` terms (differences, for Rowland)."""
     if count < 1:
-        raise ValueError(f"need at least one term, got {count}")
+        raise EmptyRange(f"need at least one term, got {count}")
     if window is None:
         window = max(1, count // 10)
     first = family.first_index

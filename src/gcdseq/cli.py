@@ -25,25 +25,12 @@ from fractions import Fraction
 
 from . import analytics, conjectures, contfrac, families
 from .bfile import format_bfile, read_bfile
-from .errors import BFileParseError, GcdseqError, ZeroDenominator
+from .errors import BFileParseError, EmptyRange, GcdseqError, ZeroDenominator
 from .recurrences import b, b_via_left_factorial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-
-SUITES = (
-    "terms",
-    "theorem1",
-    "theorem2",
-    "eq4",
-    "symmetry",
-    "pairs",
-    "triple",
-    "coverage",
-    "gcd-replacement",
-    "fastpath",
-)
 
 _DEFAULT_SEED = 20230923
 
@@ -173,25 +160,27 @@ def _cached_records(family, n_from, n_to, cache_path):
 def cmd_gen(args):
     family = args.family
     if args.n_from > args.n_to:
-        print(f"gcdseq gen: error: empty range {args.n_from}..{args.n_to}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise EmptyRange(f"empty range {args.n_from}..{args.n_to}")
     if args.n_from < family.first_index:
         print(
             f"gcdseq gen: error: {family} starts at n={family.first_index}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    records = _cached_records(family, args.n_from, args.n_to, args.cache)
-    if args.format == "csv":
-        lines = ["n,x,d,a,class"]
-        lines += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "jsonl":
-        _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
-    else:  # bfile
-        entries = [(r["n"] + args.offset, r["a"]) for r in records]
-        _emit(format_bfile(entries), args.out)
+    try:
+        records = _cached_records(family, args.n_from, args.n_to, args.cache)
+        if args.format == "csv":
+            lines = ["n,x,d,a,class"]
+            lines += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
+            _emit("\n".join(lines) + "\n", args.out)
+        elif args.format == "jsonl":
+            _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
+        else:  # bfile
+            entries = [(r["n"] + args.offset, r["a"]) for r in records]
+            _emit(format_bfile(entries), args.out)
+    except OSError as exc:
+        print(f"gcdseq gen: error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 
@@ -201,7 +190,7 @@ def cmd_gen(args):
 
 def _suite_terms(args):
     count = args.to if args.to is not None else 10000
-    report = conjectures.verify_primes_or_one(args.family, count)
+    report = conjectures.verify_primes_or_one(args.family or families.MAIN, count)
     return _jsonable(report), report.clean
 
 
@@ -298,7 +287,7 @@ def _suite_eq4(args):
 
 def _suite_symmetry(args):
     n_max = args.to if args.to is not None else 2000
-    report = conjectures.verify_symmetry(args.family, n_max)
+    report = conjectures.verify_symmetry(args.family or families.MAIN, n_max)
     return _jsonable(report), report.clean
 
 
@@ -336,22 +325,30 @@ def _suite_fastpath(args):
     return _jsonable(report), report.clean
 
 
+# suite -> (runner, the families its --family may name). None: any family,
+# default main; a suite that runs a fixed family accepts only that one.
 _SUITE_RUNNERS = {
-    "terms": _suite_terms,
-    "theorem1": _suite_theorem1,
-    "theorem2": _suite_theorem2,
-    "eq4": _suite_eq4,
-    "symmetry": _suite_symmetry,
-    "pairs": _suite_pairs,
-    "triple": _suite_triple,
-    "coverage": _suite_coverage,
-    "gcd-replacement": _suite_gcd_replacement,
-    "fastpath": _suite_fastpath,
+    "terms": (_suite_terms, None),
+    "theorem1": (_suite_theorem1, ()),
+    "theorem2": (_suite_theorem2, ()),
+    "eq4": (_suite_eq4, ()),
+    "symmetry": (_suite_symmetry, None),
+    "pairs": (_suite_pairs, (families.MAIN,)),
+    "triple": (_suite_triple, (families.quadratic(2),)),
+    "coverage": (_suite_coverage, (families.MAIN,)),
+    "gcd-replacement": (_suite_gcd_replacement, (families.MAIN,)),
+    "fastpath": (_suite_fastpath, ()),
 }
+
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def cmd_verify(args):
-    runner = _SUITE_RUNNERS[args.suite]
+    runner, accepted = _SUITE_RUNNERS[args.suite]
+    if args.family is not None and accepted is not None and args.family not in accepted:
+        print(f"gcdseq verify: error: suite {args.suite} does not run "
+              f"--family {args.family}", file=sys.stderr)
+        return EXIT_USAGE
     body, clean = runner(args)
     report = {"suite": args.suite, "clean": clean}
     report.update(body)
@@ -406,6 +403,9 @@ def _fit_offset(entries, family):
 
 
 def cmd_oeis_check(args):
+    if args.limit < 0:
+        print(f"gcdseq oeis-check: error: bad limit {args.limit}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         data = read_bfile(args.bfile)
     except BFileParseError as exc:
@@ -417,12 +417,6 @@ def cmd_oeis_check(args):
     family = args.family
     if not data.entries:
         print("warning: empty b-file, nothing compared", file=sys.stderr)
-        print(json.dumps({
-            "bfile": args.bfile, "family": str(family), "offset": 0,
-            "entries": 0, "compared": 0, "skipped_below_domain": 0,
-            "first_divergence": None,
-        }, indent=2))
-        return EXIT_OK
     if args.offset == "auto":
         offset = _fit_offset(data.entries, family)
     else:
@@ -434,8 +428,7 @@ def cmd_oeis_check(args):
             return EXIT_USAGE
     compared = skipped = 0
     divergence = None
-    entries = data.entries if not args.limit else data.entries[: args.limit]
-    for index, value in entries:
+    for index, value in data.entries[: args.limit or None]:
         n = index - offset
         if n < family.first_index:
             skipped += 1
@@ -494,8 +487,9 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--family", type=_family_arg,
-                          default=families.MAIN, help="terms/symmetry suites")
+    p_verify.add_argument("--family", type=_family_arg, default=None,
+                          help="terms/symmetry suites (default main); other "
+                               "suites accept only the family they run")
     p_verify.add_argument("--to", type=int, default=None,
                           help="term count or index bound, per suite")
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
@@ -540,7 +534,7 @@ def main(argv=None):
         return args.fn(args)
     except GcdseqError as exc:
         print(f"gcdseq {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return EXIT_USAGE if isinstance(exc, EmptyRange) else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

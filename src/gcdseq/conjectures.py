@@ -26,6 +26,7 @@ from .families import (
     Kind,
     numerator,
     quadratic,
+    quadratic_k,
     scan,
     term,
 )
@@ -93,11 +94,10 @@ def occurrence_index(family: FamilySpec, n_max: int) -> OccurrenceIndex:
 
 def _mirror_shift(family: FamilySpec) -> int:
     """The k used in the mirror law a(p - n - k + 2) = p."""
-    if family.kind is Kind.MAIN:
-        return 1
-    if family.kind is Kind.QUADRATIC:
-        return family.k
-    raise UnsupportedFamily(f"mirror law not defined for {family}")
+    k = quadratic_k(family)
+    if k is None:
+        raise UnsupportedFamily(f"mirror law not defined for {family}")
+    return k
 
 
 @dataclass(frozen=True)

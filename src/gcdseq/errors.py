@@ -9,6 +9,10 @@ class IndexBelowDomain(GcdseqError, ValueError):
     """A sequence was asked for an index below its first defined index."""
 
 
+class EmptyRange(GcdseqError, ValueError):
+    """A scan or a verifier was given a range with no index in it."""
+
+
 class InexactDivision(GcdseqError, ArithmeticError):
     """An integer division that must be exact left a remainder."""
 

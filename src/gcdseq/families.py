@@ -4,15 +4,19 @@ A term of the main sequence at index n >= 3 is
 
     a(n) = x / gcd(x, y),   x = n^2 - n - 1,   y = b(n-3) + n*b(n-4)
 
-and the generalized families swap in a different numerator and partner:
+and the generalized families swap in a different numerator and partner.
+Every partner has the form y = c*b(t) + e*b(t-1):
 
-    quad:k    x = n^2 + (k-2)n - k     y = k*b(n-3) + n*b(n-4)
-    linear:k  x = (k+1)n - k           y = b(n-2) + k*b(n-3)
+    family    x                  t     c   e
+    quad:k    n^2 + (k-2)n - k   n-3   k   n
+    linear:k  (k+1)n - k         n-2   1   k
 
-``main`` is ``quad:1``. Each term can be computed two ways: materialize y
-exactly (ExactBigInt) or run the b-chain entirely in residues mod x
-(ModularFast); the two must agree field for field. The Rowland sequence is
-carried as a degenerate family whose "terms" are its first differences.
+``main`` is ``quad:1``, and ``_definition`` is the one place these forms are
+written. Each term can be computed two ways: evaluate the partner form on
+exact b (ExactBigInt), or on the pair (b(t-1), b(t)) mod x that the b-chain
+yields when it runs entirely in residues (ModularFast); the two must agree
+field for field. The Rowland sequence is carried as a degenerate family
+whose "terms" are its first differences.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import _backend
-from .errors import IndexBelowDomain, UnsupportedFamily
+from .errors import EmptyRange, IndexBelowDomain, UnsupportedFamily
 from .primality import Verdict, is_prime
 from .recurrences import b, rowland_diff
 
@@ -133,28 +137,39 @@ def _check_index(family: FamilySpec, n: int):
         )
 
 
+def _check_range(family: FamilySpec, n_from: int, n_to: int):
+    _check_index(family, n_from)
+    if n_from > n_to:
+        raise EmptyRange(f"empty range {n_from}..{n_to}")
+
+
+def quadratic_k(family: FamilySpec) -> int | None:
+    """The k for which ``family`` is quad:k (``main`` is quad:1), else None."""
+    if family.kind is Kind.MAIN:
+        return 1
+    return family.k if family.kind is Kind.QUADRATIC else None
+
+
+def _definition(family: FamilySpec, n: int) -> tuple[int, int, int, int]:
+    """(x, t, c, e): the numerator x and the partner form, c*b(t) + e*b(t-1)."""
+    _check_index(family, n)
+    k = quadratic_k(family)
+    if k is not None:
+        return n * n + (k - 2) * n - k, n - 3, k, n
+    if family.kind is Kind.LINEAR:
+        return (family.k + 1) * n - family.k, n - 2, 1, family.k
+    raise UnsupportedFamily(f"{family} has no numerator or gcd partner")
+
+
 def numerator(family: FamilySpec, n: int) -> int:
     """The unreduced term: the quadratic or linear form evaluated at n."""
-    _check_index(family, n)
-    if family.kind is Kind.MAIN:
-        return n * n - n - 1
-    if family.kind is Kind.QUADRATIC:
-        return n * n + (family.k - 2) * n - family.k
-    if family.kind is Kind.LINEAR:
-        return (family.k + 1) * n - family.k
-    raise UnsupportedFamily("rowland has no polynomial numerator")
+    return _definition(family, n)[0]
 
 
 def gcd_partner(family: FamilySpec, n: int) -> int:
     """The quantity paired with the numerator inside the gcd, at full precision."""
-    _check_index(family, n)
-    if family.kind is Kind.MAIN:
-        return b(n - 3) + n * b(n - 4)
-    if family.kind is Kind.QUADRATIC:
-        return family.k * b(n - 3) + n * b(n - 4)
-    if family.kind is Kind.LINEAR:
-        return b(n - 2) + family.k * b(n - 3)
-    raise UnsupportedFamily("rowland has no gcd partner")
+    _, t, c, e = _definition(family, n)
+    return c * b(t) + e * b(t - 1)
 
 
 def gcd_partner_residue(family: FamilySpec, n: int, x: int) -> int:
@@ -163,15 +178,9 @@ def gcd_partner_residue(family: FamilySpec, n: int, x: int) -> int:
     The whole b-chain runs in residues mod x, so gcd(x, result) equals
     gcd(x, partner) while every intermediate stays below x.
     """
-    _check_index(family, n)
-    if family.kind in (Kind.MAIN, Kind.QUADRATIC):
-        k = 1 if family.kind is Kind.MAIN else family.k
-        b_prev, b_cur = _backend.b_mod_pair(n - 3, x)  # b(n-4), b(n-3)
-        return (k * b_cur + n * b_prev) % x
-    if family.kind is Kind.LINEAR:
-        b_prev, b_cur = _backend.b_mod_pair(n - 2, x)  # b(n-3), b(n-2)
-        return (b_cur + family.k * b_prev) % x
-    raise UnsupportedFamily("rowland has no gcd partner")
+    _, t, c, e = _definition(family, n)
+    b_prev, b_cur = _backend.b_mod_pair(t, x)  # b(t-1), b(t)
+    return (c * b_cur + e * b_prev) % x
 
 
 def _classify(a: int) -> Classification:
@@ -199,18 +208,11 @@ def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST)
     return TermRecord(family, n, x, y_mod, d, a, _classify(a))
 
 
-def scan(
-    family: FamilySpec,
-    n_from: int,
-    n_to: int,
-    strategy: Strategy = Strategy.MODULAR_FAST,
-) -> Iterator[TermRecord]:
+def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
     """Yield records for n_from..n_to inclusive, in ascending n."""
-    _check_index(family, n_from)
-    if n_from > n_to:
-        raise ValueError(f"empty range {n_from}..{n_to}")
+    _check_range(family, n_from, n_to)
     for n in range(n_from, n_to + 1):
-        yield term(family, n, strategy)
+        yield term(family, n)
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
@@ -235,6 +237,7 @@ class FactorialReplacementReport:
 
 
 def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> FactorialReplacementReport:
+    _check_range(MAIN, n_from, n_to)
     bad = []
     checked = 0
     for n in range(n_from, n_to + 1):
@@ -264,6 +267,7 @@ def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
     mismatches = []
     checked = 0
     for family in specs:
+        _check_range(family, family.first_index, n_to)
         for n in range(family.first_index, n_to + 1):
             exact = term(family, n, Strategy.EXACT_BIGINT)
             fast = term(family, n, Strategy.MODULAR_FAST)

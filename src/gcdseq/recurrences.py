@@ -70,26 +70,12 @@ def b(n: int) -> int:
     return _b_cache.value(n)
 
 
-class _LeftFactorialCache:
-    # sums[k] == !k; _next_factorial == k! for k == len(sums) - 1
-    def __init__(self):
-        self._sums = [0]
-        self._next_factorial = 1
-        self._lock = threading.Lock()
-
-    def value(self, n):
-        if n < 0:
-            raise IndexBelowDomain(f"left factorial undefined for {n} < 0")
-        if n >= len(self._sums):
-            with self._lock:
-                while len(self._sums) <= n:
-                    k = len(self._sums)
-                    self._sums.append(self._sums[-1] + self._next_factorial)
-                    self._next_factorial *= k
-        return self._sums[n]
-
-
-_lf_cache = _LeftFactorialCache()
+# !n = !(n-1) + (n-1)!, and (n-1)! = (n-1) * (!(n-1) - !(n-2)).
+_lf_cache = _RecurrenceCache(
+    first_index=0,
+    initial=(0, 1),
+    step=lambda n, terms: terms[-1] + (n - 1) * (terms[-1] - terms[-2]),
+)
 
 
 def left_factorial(n: int) -> int:

@@ -75,6 +75,14 @@ def test_gen_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[1] == "3,5,1,5,prime"
 
 
+@pytest.mark.parametrize("option", ["--cache", "--out"])
+def test_gen_unusable_path_is_a_clean_error(tmp_path, capsys, option):
+    code, out, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "5",
+                         option, str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("gcdseq gen: error: ") and err.count("\n") == 1
+
+
 def test_gen_cache_roundtrip(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     args = ("gen", "--family", "main", "--from", "3", "--to", "8",
@@ -218,6 +226,44 @@ def test_verify_fastpath(capsys):
     assert report["families"] == ["main", "quad:1", "quad:2", "linear:1", "linear:2"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "terms", "--to", "0"),
+    ("verify", "--suite", "symmetry", "--to", "2"),
+    ("verify", "--suite", "pairs", "--to", "2"),
+    ("verify", "--suite", "triple", "--to", "0"),
+    ("verify", "--suite", "coverage", "--to", "1"),
+    ("verify", "--suite", "gcd-replacement", "--to", "2"),
+    ("verify", "--suite", "fastpath", "--to", "2"),
+    ("compare", "--terms", "0"),
+], ids=lambda argv: argv[2] if argv[0] == "verify" else argv[0])
+def test_empty_range_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"gcdseq {argv[0]}: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("pairs", "quad:3", "--to", "10"),
+    ("triple", "quad:3", "--to", "10"),
+    ("coverage", "quad:2", "--to", "10"),
+    ("gcd-replacement", "linear:1", "--to", "10"),
+    ("fastpath", "main", "--to", "10", "--k-max", "1"),
+    ("eq4", "main", "--n-max", "4"),
+], ids=lambda argv: argv[0])
+def test_verify_rejects_a_family_the_suite_does_not_run(capsys, argv):
+    suite, family, *extra = argv
+    code, out, err = run(capsys, "verify", "--suite", suite, "--family", family, *extra)
+    assert code == 1 and out == ""
+    assert f"does not run --family {family}" in err
+
+
+def test_verify_accepts_the_family_the_suite_runs(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "triple", "--family", "quad:2",
+                       "--to", "120")
+    assert code == 0
+    assert json.loads(out)["triples_checked"] > 0
+
+
 def test_verify_unknown_suite_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "everything"])
@@ -343,6 +389,15 @@ def test_oeis_check_empty_file(tmp_path, capsys):
     assert code == 0
     assert "empty b-file" in err
     assert json.loads(out)["compared"] == 0
+
+
+def test_oeis_check_negative_limit_usage_error(tmp_path, capsys):
+    bpath = tmp_path / "bad-last.txt"
+    _write_bfile(bpath, [(3, 5), (4, 11), (5, 42)])
+    code, out, err = run(capsys, "oeis-check", "--bfile", str(bpath), "--family", "main",
+                         "--limit", "-1")
+    assert code == 1 and out == ""
+    assert "bad limit -1" in err
 
 
 def test_oeis_check_missing_file(capsys):

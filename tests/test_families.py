@@ -92,7 +92,8 @@ def test_gcd_partner_residue_examples(family, n, x, expected):
 
 
 def test_residue_matches_exact_partner():
-    for family in (MAIN, quadratic(3), linear(2)):
+    for family in (MAIN, quadratic(1), quadratic(2), quadratic(3),
+                   linear(1), linear(2), linear(4)):
         for n in range(family.first_index, 120):
             x = numerator(family, n)
             assert gcd_partner_residue(family, n, x) == gcd_partner(family, n) % x
