@@ -25,7 +25,14 @@ from fractions import Fraction
 
 from . import analytics, conjectures, contfrac, families
 from .bfile import format_bfile, read_bfile
-from .errors import BFileParseError, EmptyRange, GcdseqError, ZeroDenominator
+from .errors import (
+    BFileParseError,
+    EmptyRange,
+    GcdseqError,
+    IndexBelowDomain,
+    UnsupportedFamily,
+    ZeroDenominator,
+)
 from .recurrences import b, b_via_left_factorial
 
 EXIT_OK = 0
@@ -194,13 +201,23 @@ def _suite_terms(args):
     return _jsonable(report), report.clean
 
 
+def _identity_indices(n_max):
+    """The n = 3..n_max an identity suite checks; none is a usage error."""
+    if n_max < 3:
+        raise EmptyRange(f"empty range 3..{n_max}")
+    return range(3, n_max + 1)
+
+
 def _suite_theorem1(args):
     n_max = args.n_max if args.n_max is not None else 60
+    indices = _identity_indices(n_max)
+    if args.trials < 1:
+        raise EmptyRange(f"need at least one trial per n, got {args.trials}")
     eq5_max = args.eq5_max
     rng = random.Random(args.seed)
     checked = 0
     failures = []
-    for n in range(3, n_max + 1):
+    for n in indices:
         done = attempts = 0
         while done < args.trials and attempts < args.trials * 20:
             attempts += 1
@@ -237,10 +254,13 @@ def _suite_theorem1(args):
 
 def _suite_theorem2(args):
     n_max = args.n_max if args.n_max is not None else 12
+    indices = _identity_indices(n_max)
+    if args.m_min > args.m_max:
+        raise EmptyRange(f"empty m range {args.m_min}..{args.m_max}")
     combos = skipped = printed_matches = 0
     derived_failures = []
     printed_mismatches = 0
-    for n in range(3, n_max + 1):
+    for n in indices:
         for m in range(args.m_min, args.m_max + 1):
             try:
                 report = contfrac.verify_theorem(contfrac.Scheme.T2, n, m)
@@ -277,7 +297,7 @@ def _suite_eq4(args):
     n_max = args.n_max if args.n_max is not None else 50
     rows = []
     clean = True
-    for n in range(3, n_max + 1):
+    for n in _identity_indices(n_max):
         report = contfrac.verify_eq4(n)
         rows.append(_jsonable(report))
         if not report.corrected_holds:
@@ -306,6 +326,8 @@ def _suite_triple(args):
 def _suite_coverage(args):
     n_max = args.to if args.to is not None else 2000
     bound = args.bound if args.bound is not None else n_max + 1
+    if bound < 11:
+        raise EmptyRange(f"no candidate prime in 11..{bound}")
     report = conjectures.prime_coverage(n_max, bound)
     return _jsonable(report), report.clean
 
@@ -534,7 +556,8 @@ def main(argv=None):
         return args.fn(args)
     except GcdseqError as exc:
         print(f"gcdseq {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, EmptyRange) else EXIT_VIOLATION
+        usage = (EmptyRange, UnsupportedFamily, IndexBelowDomain)
+        return EXIT_USAGE if isinstance(exc, usage) else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

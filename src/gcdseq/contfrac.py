@@ -16,7 +16,9 @@ evaluated fraction rather than preferring either; the elimination oracle
 (backward substitution through each scheme's two-term relations) is the
 independent route that pins down which coefficients actually occur.
 
-Everything is a ``fractions.Fraction``; comparisons are exact.
+Arithmetic is exact throughout. ``eval_cf`` runs on plain integers and
+normalises once, into the ``fractions.Fraction`` it returns; the closed
+forms are ``Fraction``s too, so comparisons are exact.
 """
 
 from __future__ import annotations
@@ -71,22 +73,28 @@ def cf_spec(scheme: Scheme, n: int, m: int) -> CFSpec:
 
 
 def eval_cf(spec: CFSpec) -> Rational:
-    """Evaluate innermost-first; exact, never rounds.
+    """Evaluate innermost-first as an integer continuant; exact, never rounds.
+
+    The running value v_j is kept as the unreduced ratio num/den of two
+    integers (the Euler-Wallis recurrence): v_j = c_j - p_j/v_{j+1} gives
+    num, den = c_j*num - p_j*den, num. Since den is always the previous,
+    nonzero num, v_j is zero exactly when num is. The result is
+    Fraction(den, num), the one normalisation of the call.
 
     Raises ZeroDenominator naming the level whose division failed (levels
     counted from the outermost = 1; level 0 is the final reciprocal).
     """
-    value = Fraction(spec.tail)
+    num, den = spec.tail, 1
     for level in range(len(spec.levels), 0, -1):
         p, c = spec.levels[level - 1]
-        if value == 0:
+        if num == 0:
             raise ZeroDenominator(
                 f"zero denominator under level {level}", where="cf", level=level
             )
-        value = c - Fraction(p) / value
-    if value == 0:
+        num, den = c * num - p * den, num
+    if num == 0:
         raise ZeroDenominator("outer value is zero", where="cf", level=0)
-    return 1 / value
+    return Fraction(den, num)
 
 
 def theorem1_closed_form(n: int, m: int) -> Rational:

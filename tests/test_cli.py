@@ -235,6 +235,14 @@ def test_verify_fastpath(capsys):
     ("verify", "--suite", "gcd-replacement", "--to", "2"),
     ("verify", "--suite", "fastpath", "--to", "2"),
     ("compare", "--terms", "0"),
+    pytest.param(("verify", "--suite", "eq4", "--n-max", "2"), id="eq4-n-max"),
+    pytest.param(("verify", "--suite", "theorem1", "--n-max", "2"), id="theorem1-n-max"),
+    pytest.param(("verify", "--suite", "theorem1", "--trials", "0"), id="theorem1-trials"),
+    pytest.param(("verify", "--suite", "theorem2", "--n-max", "2"), id="theorem2-n-max"),
+    pytest.param(("verify", "--suite", "theorem2", "--m-min", "5", "--m-max", "-5"),
+                 id="theorem2-m-range"),
+    pytest.param(("verify", "--suite", "coverage", "--to", "100", "--bound", "5"),
+                 id="coverage-bound"),
 ], ids=lambda argv: argv[2] if argv[0] == "verify" else argv[0])
 def test_empty_range_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -255,6 +263,19 @@ def test_verify_rejects_a_family_the_suite_does_not_run(capsys, argv):
     code, out, err = run(capsys, "verify", "--suite", suite, "--family", family, *extra)
     assert code == 1 and out == ""
     assert f"does not run --family {family}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "symmetry", "--family", "linear:1"),
+    ("verify", "--suite", "terms", "--family", "rowland"),
+    ("cf", "--scheme", "t1", "--n", "2", "--m", "5"),
+], ids=["symmetry-linear", "terms-rowland", "cf-below-domain"])
+def test_input_error_is_a_usage_error(capsys, argv):
+    # an unsupported family or an index below the domain is a usage error
+    # (exit 1), not a violation (exit 2)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"gcdseq {argv[0]}: error: ") and err.count("\n") == 1
 
 
 def test_verify_accepts_the_family_the_suite_runs(capsys):

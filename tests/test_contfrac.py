@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcdseq.contfrac import (
     CFSpec,
@@ -68,6 +70,46 @@ def test_eval_outer_zero():
     with pytest.raises(ZeroDenominator) as exc:
         eval_cf(cf_theorem2_spec(3, 2))
     assert exc.value.level == 0
+
+
+def test_eval_interior_zero():
+    # tail 1 under the level (4, 4) gives 4 - 4/1 = 0, so level 3 divides by zero
+    with pytest.raises(ZeroDenominator) as exc:
+        eval_cf(cf_theorem2_spec(5, 1))
+    assert exc.value.level == 3
+
+
+def _eval_cf_per_level(spec):
+    """Reference: one Fraction per level; the value, or the zero level."""
+    value = Fraction(spec.tail)
+    for level in range(len(spec.levels), 0, -1):
+        p, c = spec.levels[level - 1]
+        if value == 0:
+            return ("zero", level)
+        value = c - Fraction(p) / value
+    if value == 0:
+        return ("zero", 0)
+    return 1 / value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([Scheme.T1, Scheme.T2]),
+    st.integers(min_value=3, max_value=60),
+    st.one_of(st.integers(min_value=-30, max_value=30),
+              st.sampled_from([10**12, -(10**12)])),
+)
+def test_eval_matches_per_level_fractions(scheme, n, m):
+    spec = cf_spec(scheme, n, m)
+    expected = _eval_cf_per_level(spec)
+    if isinstance(expected, tuple):
+        with pytest.raises(ZeroDenominator) as exc:
+            eval_cf(spec)
+        assert ("zero", exc.value.level) == expected
+        assert exc.value.where == "cf"
+    else:
+        got = eval_cf(spec)
+        assert type(got) is Fraction and got == expected
 
 
 # ---------------------------------------------------------------------------
