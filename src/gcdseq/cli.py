@@ -8,7 +8,8 @@ Subcommands:
 * ``oeis-check`` cross-check local terms against a downloaded b-file
 * ``compare``    prime-yield comparison against the Rowland sequence
 
-Exit codes: 0 clean, 1 usage error, 2 violations or data errors.
+Exit codes: 0 clean, 1 usage error (such as an option the ``verify`` suite
+does not read), 2 violations, data or output errors (such as a closed stdout).
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .recurrences import b, b_via_left_factorial
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-
-_DEFAULT_SEED = 20230923
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,25 +120,27 @@ def _cache_entry_ok(family, n, rec):
 
 
 def _cached_records(family, n_from, n_to, cache_path):
-    """Term dicts for the range, reading/extending the append-only cache.
+    """Term dicts for the range, read from and written back to the cache.
 
     A malformed line, or a cached entry that fails ``_cache_entry_ok``, gets
-    one warning on stderr and its term is recomputed and appended; the later
-    line wins on the next read. Existing lines are never rewritten.
+    one warning on stderr and is dropped, and its term is recomputed. A run
+    that computes a term or drops a line rewrites the whole file (valid
+    entries in file order, then fresh ones) through a temporary file and
+    ``os.replace``; a run served wholly from a clean cache writes nothing.
     """
     key = str(family)
     cached = {}
-    ends_mid_line = False
+    dropped = False
     if cache_path and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="ascii", errors="replace") as fh:
             for lineno, line in enumerate(fh, 1):
-                ends_mid_line = not line.endswith("\n")
                 if not line.strip():
                     continue
                 rec = _read_cache_line(line)
                 if rec is None:
                     print(f"warning: malformed cache line {lineno}; ignored",
                           file=sys.stderr)
+                    dropped = True
                     continue
                 cached[(rec["family"], rec["n"])] = rec
     fresh = []
@@ -152,30 +153,27 @@ def _cached_records(family, n_from, n_to, cache_path):
                 continue
             print(f"warning: invalid cache entry for {key} n={n}; recomputed",
                   file=sys.stderr)
+            del cached[(key, n)]
         computed = families.term(family, n).as_dict()
         records.append(computed)
         fresh.append(computed)
-    if cache_path and fresh:
-        with open(cache_path, "a", encoding="ascii") as fh:
-            if ends_mid_line:
-                fh.write("\n")
-            for rec in fresh:
-                fh.write(json.dumps(rec) + "\n")
+    if cache_path and (fresh or dropped):
+        tmp = f"{cache_path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                for rec in [*cached.values(), *fresh]:
+                    fh.write(json.dumps(rec) + "\n")
+            os.replace(tmp, cache_path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return records
 
 
 def cmd_gen(args):
-    family = args.family
-    if args.n_from > args.n_to:
-        raise EmptyRange(f"empty range {args.n_from}..{args.n_to}")
-    if args.n_from < family.first_index:
-        print(
-            f"gcdseq gen: error: {family} starts at n={family.first_index}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    families._check_range(args.family, args.n_from, args.n_to)
     try:
-        records = _cached_records(family, args.n_from, args.n_to, args.cache)
+        records = _cached_records(args.family, args.n_from, args.n_to, args.cache)
         if args.format == "csv":
             lines = ["n,x,d,a,class"]
             lines += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
@@ -185,6 +183,8 @@ def cmd_gen(args):
         else:  # bfile
             entries = [(r["n"] + args.offset, r["a"]) for r in records]
             _emit(format_bfile(entries), args.out)
+    except BrokenPipeError:
+        raise  # a closed stdout is handled in main
     except OSError as exc:
         print(f"gcdseq gen: error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -195,12 +195,6 @@ def cmd_gen(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_terms(args):
-    count = args.to if args.to is not None else 10000
-    report = conjectures.verify_primes_or_one(args.family or families.MAIN, count)
-    return _jsonable(report), report.clean
-
-
 def _identity_indices(n_max):
     """The n = 3..n_max an identity suite checks; none is a usage error."""
     if n_max < 3:
@@ -208,18 +202,16 @@ def _identity_indices(n_max):
     return range(3, n_max + 1)
 
 
-def _suite_theorem1(args):
-    n_max = args.n_max if args.n_max is not None else 60
-    indices = _identity_indices(n_max)
-    if args.trials < 1:
-        raise EmptyRange(f"need at least one trial per n, got {args.trials}")
-    eq5_max = args.eq5_max
-    rng = random.Random(args.seed)
+def _suite_theorem1(o):
+    indices = _identity_indices(o.to)
+    if o.trials < 1:
+        raise EmptyRange(f"need at least one trial per n, got {o.trials}")
+    rng = random.Random(o.seed)
     checked = 0
     failures = []
     for n in indices:
         done = attempts = 0
-        while done < args.trials and attempts < args.trials * 20:
+        while done < o.trials and attempts < o.trials * 20:
             attempts += 1
             m = rng.randint(-(10**9), 10**9)
             if m == 0:
@@ -236,32 +228,31 @@ def _suite_theorem1(args):
                     {"n": n, "m": m, "cf": str(report.cf_value), "eq1": str(value)}
                 )
     eq5_failures = []
-    for n in range(3, eq5_max + 1):
+    for n in range(3, o.eq5_max + 1):
         _, form2 = contfrac.elimination_chain(contfrac.Scheme.T1, n)
         if (form2.alpha, form2.beta) != (b(n - 3), -n * b(n - 4)):
             eq5_failures.append(n)
     clean = not failures and not eq5_failures
     return {
-        "n_max": n_max,
-        "trials_per_n": args.trials,
-        "seed": args.seed,
+        "n_max": o.to,
+        "trials_per_n": o.trials,
+        "seed": o.seed,
         "checked": checked,
         "cf_mismatches": failures,
-        "eq5_n_max": eq5_max,
+        "eq5_n_max": o.eq5_max,
         "eq5_failures": eq5_failures,
     }, clean
 
 
-def _suite_theorem2(args):
-    n_max = args.n_max if args.n_max is not None else 12
-    indices = _identity_indices(n_max)
-    if args.m_min > args.m_max:
-        raise EmptyRange(f"empty m range {args.m_min}..{args.m_max}")
+def _suite_theorem2(o):
+    indices = _identity_indices(o.to)
+    if o.m_min > o.m_max:
+        raise EmptyRange(f"empty m range {o.m_min}..{o.m_max}")
     combos = skipped = printed_matches = 0
     derived_failures = []
     printed_mismatches = 0
     for n in indices:
-        for m in range(args.m_min, args.m_max + 1):
+        for m in range(o.m_min, o.m_max + 1):
             try:
                 report = contfrac.verify_theorem(contfrac.Scheme.T2, n, m)
             except ZeroDenominator:
@@ -276,105 +267,96 @@ def _suite_theorem2(args):
                 printed_matches += 1
             else:
                 printed_mismatches += 1
+    if combos == 0:
+        raise EmptyRange(f"every (n, m) in 3..{o.to} x {o.m_min}..{o.m_max} "
+                         f"has a zero denominator")
     lf_failures = [
-        n for n in range(0, args.lf_max + 1) if b(n) != b_via_left_factorial(n)
+        n for n in range(0, o.lf_max + 1) if b(n) != b_via_left_factorial(n)
     ]
     clean = not derived_failures and not lf_failures
     return {
-        "n_max": n_max,
-        "m_range": [args.m_min, args.m_max],
+        "n_max": o.to,
+        "m_range": [o.m_min, o.m_max],
         "combos": combos,
         "skipped_zero_denominator": skipped,
         "derived_failures": derived_failures,
         "printed_matches": printed_matches,
         "printed_mismatches": printed_mismatches,
-        "left_factorial_n_max": args.lf_max,
+        "left_factorial_n_max": o.lf_max,
         "left_factorial_failures": lf_failures,
     }, clean
 
 
-def _suite_eq4(args):
-    n_max = args.n_max if args.n_max is not None else 50
+def _suite_eq4(o):
     rows = []
     clean = True
-    for n in _identity_indices(n_max):
+    for n in _identity_indices(o.to):
         report = contfrac.verify_eq4(n)
         rows.append(_jsonable(report))
         if not report.corrected_holds:
             clean = False
-    return {"n_max": n_max, "rows": rows}, clean
+    return {"n_max": o.to, "rows": rows}, clean
 
 
-def _suite_symmetry(args):
-    n_max = args.to if args.to is not None else 2000
-    report = conjectures.verify_symmetry(args.family or families.MAIN, n_max)
-    return _jsonable(report), report.clean
-
-
-def _suite_pairs(args):
-    n_max = args.to if args.to is not None else 2000
-    report = conjectures.verify_pair_identities(families.MAIN, n_max)
-    return _jsonable(report), report.clean
-
-
-def _suite_triple(args):
-    count = args.to if args.to is not None else 500
-    report = conjectures.verify_triple_rule_a2(count)
-    return _jsonable(report), report.clean
-
-
-def _suite_coverage(args):
-    n_max = args.to if args.to is not None else 2000
-    bound = args.bound if args.bound is not None else n_max + 1
+def _suite_coverage(o):
+    bound = o.to + 1 if o.bound is None else o.bound
     if bound < 11:
         raise EmptyRange(f"no candidate prime in 11..{bound}")
-    report = conjectures.prime_coverage(n_max, bound)
-    return _jsonable(report), report.clean
+    return conjectures.prime_coverage(o.to, bound)
 
 
-def _suite_gcd_replacement(args):
-    n_max = args.to if args.to is not None else 2000
-    report = families.verify_factorial_replacement(3, n_max)
-    return _jsonable(report), report.clean
+def _suite_fastpath(o):
+    ks = range(1, o.k_max + 1)
+    specs = [families.MAIN, *map(families.quadratic, ks), *map(families.linear, ks)]
+    return families.verify_strategy_equivalence(specs, o.to)
 
 
-def _suite_fastpath(args):
-    n_max = args.to if args.to is not None else 1500
-    specs = [families.MAIN]
-    specs += [families.quadratic(k) for k in range(1, args.k_max + 1)]
-    specs += [families.linear(k) for k in range(1, args.k_max + 1)]
-    report = families.verify_strategy_equivalence(specs, n_max)
-    return _jsonable(report), report.clean
-
-
-# suite -> (runner, the families its --family may name). None: any family,
-# default main; a suite that runs a fixed family accepts only that one.
+# suite -> (runner, the families its --family may name, the defaults of the
+# other options it reads; giving any other is a usage error). Families None:
+# any family, default main. A runner returns a library report or (body, clean).
 _SUITE_RUNNERS = {
-    "terms": (_suite_terms, None),
-    "theorem1": (_suite_theorem1, ()),
-    "theorem2": (_suite_theorem2, ()),
-    "eq4": (_suite_eq4, ()),
-    "symmetry": (_suite_symmetry, None),
-    "pairs": (_suite_pairs, (families.MAIN,)),
-    "triple": (_suite_triple, (families.quadratic(2),)),
-    "coverage": (_suite_coverage, (families.MAIN,)),
-    "gcd-replacement": (_suite_gcd_replacement, (families.MAIN,)),
-    "fastpath": (_suite_fastpath, ()),
+    "terms": (lambda o: conjectures.verify_primes_or_one(o.family, o.to),
+              None, {"to": 10000}),
+    "theorem1": (_suite_theorem1, (),
+                 {"to": 60, "trials": 50, "seed": 20230923, "eq5_max": 200}),
+    "theorem2": (_suite_theorem2, (),
+                 {"to": 12, "m_min": -20, "m_max": 20, "lf_max": 1000}),
+    "eq4": (_suite_eq4, (), {"to": 50}),
+    "symmetry": (lambda o: conjectures.verify_symmetry(o.family, o.to),
+                 None, {"to": 2000}),
+    "pairs": (lambda o: conjectures.verify_pair_identities(o.family, o.to),
+              (families.MAIN,), {"to": 2000}),
+    "triple": (lambda o: conjectures.verify_triple_rule_a2(o.to),
+               (families.quadratic(2),), {"to": 500}),
+    "coverage": (_suite_coverage, (families.MAIN,), {"to": 2000, "bound": None}),
+    "gcd-replacement": (lambda o: families.verify_factorial_replacement(3, o.to),
+                        (families.MAIN,), {"to": 2000}),
+    "fastpath": (_suite_fastpath, (), {"to": 1500, "k_max": 5}),
 }
 
 SUITES = tuple(_SUITE_RUNNERS)
 
 
 def cmd_verify(args):
-    runner, accepted = _SUITE_RUNNERS[args.suite]
-    if args.family is not None and accepted is not None and args.family not in accepted:
+    runner, accepted, defaults = _SUITE_RUNNERS[args.suite]
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "suite")}
+    family = given.pop("family", None)
+    if family is not None and accepted is not None and family not in accepted:
         print(f"gcdseq verify: error: suite {args.suite} does not run "
-              f"--family {args.family}", file=sys.stderr)
+              f"--family {family}", file=sys.stderr)
         return EXIT_USAGE
-    body, clean = runner(args)
-    report = {"suite": args.suite, "clean": clean}
-    report.update(body)
-    print(json.dumps(report, indent=2))
+    foreign = [f"--{name.replace('_', '-')}" for name in given if name not in defaults]
+    if foreign:
+        print(f"gcdseq verify: error: suite {args.suite} does not read "
+              f"{', '.join(foreign)}", file=sys.stderr)
+        return EXIT_USAGE
+    result = runner(argparse.Namespace(family=family or families.MAIN,
+                                       **{**defaults, **given}))
+    if isinstance(result, tuple):
+        body, clean = result
+    else:
+        body, clean = _jsonable(result), result.clean
+    print(json.dumps({"suite": args.suite, "clean": clean, **body}, indent=2))
     return EXIT_OK if clean else EXIT_VIOLATION
 
 
@@ -504,27 +486,27 @@ def build_parser():
                        help="b-file index = n + offset (bfile format only)")
     p_gen.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_gen.add_argument("--cache", default=None,
-                       help="append-only JSONL term cache (opt-in)")
+                       help="JSONL term cache (opt-in), rewritten whole "
+                            "when a run adds or repairs an entry")
     p_gen.set_defaults(fn=cmd_gen)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    # each option defaults to absent, so cmd_verify sees only those given
+    p_verify = sub.add_parser("verify", help="run a verification suite",
+                              argument_default=argparse.SUPPRESS)
     p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--family", type=_family_arg, default=None,
+    p_verify.add_argument("--family", type=_family_arg,
                           help="terms/symmetry suites (default main); other "
                                "suites accept only the family they run")
-    p_verify.add_argument("--to", type=int, default=None,
+    p_verify.add_argument("--to", "--n-max", dest="to", type=int,
                           help="term count or index bound, per suite")
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=50,
-                          help="random m per n (theorem1)")
-    p_verify.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    p_verify.add_argument("--eq5-max", dest="eq5_max", type=int, default=200)
-    p_verify.add_argument("--m-min", dest="m_min", type=int, default=-20)
-    p_verify.add_argument("--m-max", dest="m_max", type=int, default=20)
-    p_verify.add_argument("--lf-max", dest="lf_max", type=int, default=1000)
-    p_verify.add_argument("--bound", type=int, default=None,
-                          help="value bound for the coverage suite")
-    p_verify.add_argument("--k-max", dest="k_max", type=int, default=5)
+    p_verify.add_argument("--trials", type=int, help="random m per n (theorem1)")
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--eq5-max", type=int)
+    p_verify.add_argument("--m-min", type=int)
+    p_verify.add_argument("--m-max", type=int)
+    p_verify.add_argument("--lf-max", type=int)
+    p_verify.add_argument("--bound", type=int, help="value bound (coverage)")
+    p_verify.add_argument("--k-max", type=int)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_cf = sub.add_parser("cf", help="evaluate a continued fraction")
@@ -553,11 +535,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except GcdseqError as exc:
         print(f"gcdseq {args.command}: error: {exc}", file=sys.stderr)
         usage = (EmptyRange, UnsupportedFamily, IndexBelowDomain)
         return EXIT_USAGE if isinstance(exc, usage) else EXIT_VIOLATION
+    except BrokenPipeError:
+        # stdout was closed; devnull takes what is left, so exit flushes cleanly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

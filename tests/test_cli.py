@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gcdseq
 from gcdseq.cli import main
 
 from expected_terms import MAIN_PREFIX
@@ -130,8 +134,10 @@ def test_gen_cache_detects_corruption(tmp_path, capsys, content, family, warning
     assert err.count("warning:") == 1 and warning in err
     assert out == clean
     assert out.strip().splitlines()[1] == row
-    # the bad line stays as it was; the recomputed term goes on a line of its own
-    assert cache.read_text().splitlines() == [content.rstrip("\n"), term_line.rstrip("\n")]
+    # the file is rewritten without the bad line, so the next run has nothing to warn of
+    assert cache.read_text().splitlines() == [term_line.rstrip("\n")]
+    code, again, err = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0 and again == clean and err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +162,7 @@ def test_verify_terms_composites_exit_2(capsys):
 
 def test_verify_theorem1(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--n-max", "12",
-                       "--trials", "5", "--eq5-max", "30")
+                       "--trials", "5", "--eq5-max", "30", "--seed", "7")
     assert code == 0
     report = json.loads(out)
     assert report["cf_mismatches"] == [] and report["eq5_failures"] == []
@@ -165,7 +171,7 @@ def test_verify_theorem1(capsys):
 
 def test_verify_theorem2(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorem2", "--n-max", "6",
-                       "--lf-max", "50")
+                       "--lf-max", "50", "--m-min", "-10", "--m-max", "10")
     assert code == 0
     report = json.loads(out)
     assert report["derived_failures"] == []
@@ -243,6 +249,8 @@ def test_verify_fastpath(capsys):
                  id="theorem2-m-range"),
     pytest.param(("verify", "--suite", "coverage", "--to", "100", "--bound", "5"),
                  id="coverage-bound"),
+    pytest.param(("verify", "--suite", "theorem2", "--n-max", "3", "--m-min", "2",
+                  "--m-max", "2"), id="theorem2-all-zero-denominators"),
 ], ids=lambda argv: argv[2] if argv[0] == "verify" else argv[0])
 def test_empty_range_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -278,6 +286,35 @@ def test_input_error_is_a_usage_error(capsys, argv):
     assert err.startswith(f"gcdseq {argv[0]}: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("terms", "--to", "5", "--trials", "3"), "--trials"),
+    (("theorem1", "--to", "4", "--bound", "20"), "--bound"),
+    (("theorem2", "--to", "4", "--seed", "1"), "--seed"),
+    (("eq4", "--to", "4", "--k-max", "2"), "--k-max"),
+    (("symmetry", "--to", "20", "--m-min", "1"), "--m-min"),
+    (("pairs", "--to", "20", "--lf-max", "5"), "--lf-max"),
+    (("triple", "--to", "20", "--eq5-max", "5"), "--eq5-max"),
+    (("coverage", "--to", "20", "--k-max", "1"), "--k-max"),
+    (("gcd-replacement", "--to", "20", "--bound", "20"), "--bound"),
+    (("fastpath", "--to", "5", "--trials", "2"), "--trials"),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_verify_rejects_an_option_the_suite_does_not_read(capsys, argv, option):
+    suite, *extra = argv
+    code, out, err = run(capsys, "verify", "--suite", suite, *extra)
+    assert code == 1 and out == ""
+    assert err == f"gcdseq verify: error: suite {suite} does not read {option}\n"
+
+
+@pytest.mark.parametrize("suite, key, bound, extra", [
+    ("terms", "terms", "20", ()),
+    ("theorem1", "n_max", "5", ("--trials", "3")),
+], ids=["terms", "theorem1"])
+def test_verify_n_max_is_a_spelling_of_to(capsys, suite, key, bound, extra):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--to", bound, *extra)
+    assert code == 0 and json.loads(out)[key] == int(bound)
+    assert run(capsys, "verify", "--suite", suite, "--n-max", bound, *extra) == (0, out, "")
+
+
 def test_verify_accepts_the_family_the_suite_runs(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "triple", "--family", "quad:2",
                        "--to", "120")
@@ -289,6 +326,21 @@ def test_verify_unknown_suite_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "everything"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--terms", "300"),
+    ("verify", "--suite", "terms", "--to", "20"),
+    ("gen", "--family", "main", "--from", "3", "--to", "20"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_2_without_a_traceback(argv):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gcdseq.__file__))}
+    proc = subprocess.Popen([sys.executable, "-m", "gcdseq.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the child writes anything
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------
