@@ -2,7 +2,9 @@
 
 A b-file is plain ASCII: optional comment lines starting with '#', then one
 "<index> <value>" pair per line with strictly increasing indices. Blank
-lines are tolerated on input and never produced on output.
+lines are tolerated on input and never produced on output. A field is an
+optional '-' and ASCII digits; a data line with anything else ('+19', '1_1',
+a non-ASCII byte) is a parse error naming its line.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ def parse_bfile(text: str) -> BFile:
             raise BFileParseError(
                 f"expected '<index> <value>', got {raw!r}", line_no
             )
-        try:
-            index, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise BFileParseError(f"non-integer field in {raw!r}", line_no) from None
+        if not all(f.isascii() and f.removeprefix("-").isdigit() for f in fields):
+            raise BFileParseError(f"non-integer field in {raw!r}", line_no)
+        index, value = int(fields[0]), int(fields[1])
         if last_index is not None and index <= last_index:
             raise BFileParseError(
                 f"index {index} not above previous {last_index}", line_no
@@ -48,7 +49,8 @@ def parse_bfile(text: str) -> BFile:
 
 
 def read_bfile(path) -> BFile:
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to U+FFFD, which no field accepts
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return parse_bfile(fh.read())
 
 

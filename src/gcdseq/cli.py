@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import random
 import sys
@@ -102,21 +101,15 @@ def _read_cache_line(line):
 def _cache_entry_ok(family, n, rec):
     """Whether a well-formed cached term dict is consistent with ``term(family, n)``.
 
-    Rowland terms are cheap and compared whole; the others are checked
-    structurally (numerator, a*d == x, d == gcd(x, y_mod_x) with the residue
-    reduced, and the class of a), since recomputing them is the cost the
-    cache saves.
+    Rowland terms are cheap and compared whole. The others must hold a
+    reduced residue and equal the record rebuilt from it, since recomputing
+    the residue is the cost the cache saves.
     """
     if family.kind is families.Kind.ROWLAND:
         return rec == families.term(family, n).as_dict()
-    x = rec["x"]
-    return (
-        x == families.numerator(family, n)
-        and 0 <= rec["y_mod_x"] < x
-        and rec["a"] * rec["d"] == x
-        and math.gcd(x, rec["y_mod_x"]) == rec["d"]
-        and rec["class"] == families._classify(rec["a"]).value
-    )
+    x = families.numerator(family, n)
+    y_mod_x = rec["y_mod_x"]
+    return 0 <= y_mod_x < x and rec == families._record(family, n, x, y_mod_x).as_dict()
 
 
 def _cached_records(family, n_from, n_to, cache_path):
@@ -171,6 +164,10 @@ def _cached_records(family, n_from, n_to, cache_path):
 
 
 def cmd_gen(args):
+    if args.offset is not None and args.format != "bfile":
+        print("gcdseq gen: error: --offset applies to --format bfile only",
+              file=sys.stderr)
+        return EXIT_USAGE
     families._check_range(args.family, args.n_from, args.n_to)
     try:
         records = _cached_records(args.family, args.n_from, args.n_to, args.cache)
@@ -181,7 +178,7 @@ def cmd_gen(args):
         elif args.format == "jsonl":
             _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
         else:  # bfile
-            entries = [(r["n"] + args.offset, r["a"]) for r in records]
+            entries = [(r["n"] + (args.offset or 0), r["a"]) for r in records]
             _emit(format_bfile(entries), args.out)
     except BrokenPipeError:
         raise  # a closed stdout is handled in main
@@ -250,7 +247,6 @@ def _suite_theorem2(o):
         raise EmptyRange(f"empty m range {o.m_min}..{o.m_max}")
     combos = skipped = printed_matches = 0
     derived_failures = []
-    printed_mismatches = 0
     for n in indices:
         for m in range(o.m_min, o.m_max + 1):
             try:
@@ -265,8 +261,6 @@ def _suite_theorem2(o):
                 derived_failures.append({"n": n, "m": m, "cf": str(report.cf_value)})
             if printed_equal:
                 printed_matches += 1
-            else:
-                printed_mismatches += 1
     if combos == 0:
         raise EmptyRange(f"every (n, m) in 3..{o.to} x {o.m_min}..{o.m_max} "
                          f"has a zero denominator")
@@ -281,7 +275,7 @@ def _suite_theorem2(o):
         "skipped_zero_denominator": skipped,
         "derived_failures": derived_failures,
         "printed_matches": printed_matches,
-        "printed_mismatches": printed_mismatches,
+        "printed_mismatches": combos - printed_matches,
         "left_factorial_n_max": o.lf_max,
         "left_factorial_failures": lf_failures,
     }, clean
@@ -383,6 +377,23 @@ def cmd_cf(args):
 # oeis-check
 # ---------------------------------------------------------------------------
 
+def _agreement(entries, family, offset):
+    """(compared, skipped below domain, first divergence) of ``entries`` read
+    as term ``index - offset``; comparison stops at the first divergence."""
+    compared = skipped = 0
+    for index, value in entries:
+        n = index - offset
+        if n < family.first_index:
+            skipped += 1
+            continue
+        computed = families.term(family, n).a
+        compared += 1
+        if computed != value:
+            return compared, skipped, {"file_index": index, "n": n,
+                                       "file_value": value, "computed": computed}
+    return compared, skipped, None
+
+
 def _fit_offset(entries, family):
     """Offset maximizing the agreement prefix (ties: smallest offset)."""
     first = family.first_index
@@ -390,20 +401,13 @@ def _fit_offset(entries, family):
     candidates = sorted(
         {entries[i][0] - (first + j) for i in range(probe) for j in range(probe)}
     )
-    window = entries[: min(64, len(entries))]
-    best_offset, best_score = 0, -1
-    for offset in candidates:
-        score = 0
-        for index, value in window:
-            n = index - offset
-            if n < first:
-                continue
-            if families.term(family, n).a != value:
-                break
-            score += 1
-        if score > best_score:
-            best_offset, best_score = offset, score
-    return best_offset
+    window = entries[:64]
+
+    def matches(offset):
+        compared, _, divergence = _agreement(window, family, offset)
+        return compared - (divergence is not None)
+
+    return max(candidates, key=matches, default=0)
 
 
 def cmd_oeis_check(args):
@@ -430,23 +434,8 @@ def cmd_oeis_check(args):
             print(f"gcdseq oeis-check: error: bad offset {args.offset!r}",
                   file=sys.stderr)
             return EXIT_USAGE
-    compared = skipped = 0
-    divergence = None
-    for index, value in data.entries[: args.limit or None]:
-        n = index - offset
-        if n < family.first_index:
-            skipped += 1
-            continue
-        computed = families.term(family, n).a
-        compared += 1
-        if computed != value:
-            divergence = {
-                "file_index": index,
-                "n": n,
-                "file_value": value,
-                "computed": computed,
-            }
-            break
+    compared, skipped, divergence = _agreement(
+        data.entries[: args.limit or None], family, offset)
     print(json.dumps({
         "bfile": args.bfile,
         "family": str(family),
@@ -482,8 +471,8 @@ def build_parser():
     p_gen.add_argument("--from", dest="n_from", type=int, required=True)
     p_gen.add_argument("--to", dest="n_to", type=int, required=True)
     p_gen.add_argument("--format", choices=("csv", "jsonl", "bfile"), default="csv")
-    p_gen.add_argument("--offset", type=int, default=0,
-                       help="b-file index = n + offset (bfile format only)")
+    p_gen.add_argument("--offset", type=int,
+                       help="b-file index = n + offset, default 0 (bfile only)")
     p_gen.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_gen.add_argument("--cache", default=None,
                        help="JSONL term cache (opt-in), rewritten whole "

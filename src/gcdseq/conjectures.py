@@ -92,14 +92,6 @@ def occurrence_index(family: FamilySpec, n_max: int) -> OccurrenceIndex:
     )
 
 
-def _mirror_shift(family: FamilySpec) -> int:
-    """The k used in the mirror law a(p - n - k + 2) = p."""
-    k = quadratic_k(family)
-    if k is None:
-        raise UnsupportedFamily(f"mirror law not defined for {family}")
-    return k
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     family: str
@@ -114,12 +106,23 @@ class SymmetryReport:
 
 
 def verify_symmetry(family: FamilySpec, n_max: int) -> SymmetryReport:
-    """Check the mirror law for every prime term with index <= n_max.
+    """Check the mirror law a(p - n - k + 2) = p of quad:k (main is k = 1)
+    for every prime term a(n) = p with index <= n_max.
 
     Mirror indices beyond the scanned range are computed on demand; mirrors
     below the first index are recorded separately, not counted as violations.
+
+    For main the law is proved; the scan still computes it. Let m = p - n + 1
+    >= 3. Then x(m) - x(n) = (m - n)(m + n - 1) = (m - n)p, and p divides
+    x(n), so x(m) = x(n) = 0 (mod p). The cofactor q = x(m)/p is below m - 1,
+    because p = m + n - 1 >= m + 2 and (m - 1)(m + 2) > m^2 - m - 1 = x(m),
+    so q divides (m-1)!. The prime p > m - 1 does not. By the
+    factorial-replacement law (see ``families``), d(m) = gcd(pq, (m-1)!) = q,
+    and a(m) = x(m)/q = p.
     """
-    k = _mirror_shift(family)
+    k = quadratic_k(family)
+    if k is None:
+        raise UnsupportedFamily(f"mirror law not defined for {family}")
     checked = 0
     violations = []
     out_of_domain = []

@@ -30,10 +30,6 @@ from fractions import Fraction
 from .errors import IndexBelowDomain, ZeroDenominator
 from .recurrences import b, left_factorial
 
-# Exact normalized rational; denominator kept positive by Fraction itself.
-Rational = Fraction
-
-
 class Scheme(Enum):
     T1 = "t1"
     T2 = "t2"
@@ -72,7 +68,7 @@ def cf_spec(scheme: Scheme, n: int, m: int) -> CFSpec:
     return cf_theorem2_spec(n, m)
 
 
-def eval_cf(spec: CFSpec) -> Rational:
+def eval_cf(spec: CFSpec) -> Fraction:
     """Evaluate innermost-first as an integer continuant; exact, never rounds.
 
     The running value v_j is kept as the unreduced ratio num/den of two
@@ -97,7 +93,7 @@ def eval_cf(spec: CFSpec) -> Rational:
     return Fraction(den, num)
 
 
-def theorem1_closed_form(n: int, m: int) -> Rational:
+def theorem1_closed_form(n: int, m: int) -> Fraction:
     """(m*b(n-3) - n*b(n-4)) / (n*(m-n+2) - m)."""
     if n < 3:
         raise IndexBelowDomain(f"defined for n >= 3, got {n}")
@@ -107,7 +103,7 @@ def theorem1_closed_form(n: int, m: int) -> Rational:
     return Fraction(m * b(n - 3) - n * b(n - 4), den)
 
 
-def theorem2_closed_form(n: int, m: int) -> Rational:
+def theorem2_closed_form(n: int, m: int) -> Fraction:
     """The printed T2 right side: 2*(m*b(n-3) - n*b(n-4)) / (n*(m-n+1))."""
     if n < 3:
         raise IndexBelowDomain(f"defined for n >= 3, got {n}")
@@ -117,7 +113,7 @@ def theorem2_closed_form(n: int, m: int) -> Rational:
     return Fraction(2 * (m * b(n - 3) - n * b(n - 4)), den)
 
 
-def theorem2_derived_form(n: int, m: int) -> Rational:
+def theorem2_derived_form(n: int, m: int) -> Fraction:
     """The elimination-backed T2 right side: (m*!(n-1) - 2*b(n-3)) / (m-n+1)."""
     if n < 3:
         raise IndexBelowDomain(f"defined for n >= 3, got {n}")
@@ -147,29 +143,20 @@ class LinearForm:
 def elimination_chain(scheme: Scheme, n: int) -> tuple[LinearForm, LinearForm]:
     """Express a_1 and a_2 as two-term forms by backward substitution.
 
-    T1 uses the relations a_j = (j+1) a_{j+1} - (j+2) a_{j+2} and lands on
-    the basis (a_{n-1}, a_n); T2 uses a_j = j (a_{j+1} - a_{j+2}) and lands
-    on (a_n, a_{n+1}).
+    Both schemes use relations a_j = r a_{j+1} - s a_{j+2}: T1 with
+    (r, s) = (j+1, j+2), landing on the basis (a_{n-1}, a_n), and T2 with
+    (r, s) = (j, j), landing on (a_n, a_{n+1}).
     """
     if n < 3:
         raise IndexBelowDomain(f"chain defined for n >= 3, got {n}")
-    if scheme is Scheme.T1:
-        u = n - 1
-        coeff = {n - 1: (1, 0), n: (0, 1)}
-        for j in range(n - 2, 0, -1):
-            a1, b1 = coeff[j + 1]
-            a2, b2 = coeff[j + 2]
-            coeff[j] = ((j + 1) * a1 - (j + 2) * a2, (j + 1) * b1 - (j + 2) * b2)
-    else:
-        u = n
-        coeff = {n: (1, 0), n + 1: (0, 1)}
-        for j in range(n - 1, 0, -1):
-            a1, b1 = coeff[j + 1]
-            a2, b2 = coeff[j + 2]
-            coeff[j] = (j * (a1 - a2), j * (b1 - b2))
-    form1 = LinearForm(*coeff[1], u, u + 1)
-    form2 = LinearForm(*coeff[2], u, u + 1)
-    return form1, form2
+    t1 = scheme is Scheme.T1
+    u = n - 1 if t1 else n
+    # the (alpha, beta) of a_{j+1} and a_{j+2}, starting from a_u and a_{u+1}
+    near, far = (1, 0), (0, 1)
+    for j in range(u - 1, 0, -1):
+        r, s = (j + 1, j + 2) if t1 else (j, j)
+        near, far = (r * near[0] - s * far[0], r * near[1] - s * far[1]), near
+    return LinearForm(*near, u, u + 1), LinearForm(*far, u, u + 1)
 
 
 @dataclass(frozen=True)
@@ -208,8 +195,8 @@ class TheoremReport:
     scheme: Scheme
     n: int
     m: int
-    cf_value: Rational
-    forms: tuple[tuple[str, Rational, bool], ...]
+    cf_value: Fraction
+    forms: tuple[tuple[str, Fraction, bool], ...]
 
     def form(self, name: str):
         for fname, value, equal in self.forms:

@@ -12,7 +12,19 @@ Every partner has the form y = c*b(t) + e*b(t-1):
     linear:k  (k+1)n - k         n-2   1   k
 
 ``main`` is ``quad:1``, and ``_definition`` is the one place these forms are
-written. Each term can be computed two ways: evaluate the partner form on
+written. In every row x = c(t+2) + e(t+1), so b(t) = (t+2)*!(t+1)/2 (``!`` is
+the left factorial, see ``recurrences``) and !(t+1) = !t + t! give, for every
+t >= 0,
+
+    2*partner = x*!t + c*(t+2)*t!
+
+For main (c = 1, t = n-3) this proves the factorial-replacement law that
+``verify_factorial_replacement`` still checks: x = n(n-1) - 1 is odd, so
+gcd(x, partner) = gcd(x, 2*partner) = gcd(x, (n-1)*(n-3)!), and
+x = (n-2)(n+1) + 1 is prime to n-2, so this is gcd(x, (n-1)!) for every
+n >= 3 (by hand: gcd(5, 1) = gcd(5, 2!) and gcd(11, 7) = gcd(11, 3!)).
+
+Each term can be computed two ways: evaluate the partner form on
 exact b (ExactBigInt), or on the pair (b(t-1), b(t)) mod x that the b-chain
 yields when it runs entirely in residues (ModularFast); the two must agree
 field for field. The Rowland sequence is carried as a degenerate family
@@ -192,6 +204,13 @@ def _classify(a: int) -> Classification:
     return Classification.COMPOSITE
 
 
+def _record(family: FamilySpec, n: int, x: int, y_mod_x: int) -> TermRecord:
+    """The record of term n from its numerator and partner residue: d, a, class."""
+    d = math.gcd(x, y_mod_x)
+    a = x // d
+    return TermRecord(family, n, x, y_mod_x, d, a, _classify(a))
+
+
 def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST) -> TermRecord:
     """Compute one term; both strategies produce identical records."""
     if family.kind is Kind.ROWLAND:
@@ -200,12 +219,8 @@ def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST)
         return TermRecord(family, n, diff, 0, 1, diff, _classify(diff))
     x = numerator(family, n)
     if strategy is Strategy.EXACT_BIGINT:
-        y_mod = gcd_partner(family, n) % x
-    else:
-        y_mod = gcd_partner_residue(family, n, x)
-    d = math.gcd(x, y_mod)
-    a = x // d
-    return TermRecord(family, n, x, y_mod, d, a, _classify(a))
+        return _record(family, n, x, gcd_partner(family, n) % x)
+    return _record(family, n, x, gcd_partner_residue(family, n, x))
 
 
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:

@@ -32,6 +32,11 @@ def test_parse_non_integer():
     with pytest.raises(BFileParseError) as exc:
         parse_bfile("3 five\n")
     assert exc.value.line_no == 1
+    # int() accepts each of these; a b-file field is '-'? then ASCII digits
+    for line in ("4 1_1", "5 +19", "4 \u0661\u0661", "4 11\ufffd"):
+        with pytest.raises(BFileParseError) as exc:
+            parse_bfile(f"3 5\n{line}\n")
+        assert exc.value.line_no == 2
 
 
 def test_parse_non_increasing_indices():

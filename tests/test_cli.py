@@ -8,7 +8,7 @@ import pytest
 import gcdseq
 from gcdseq.cli import main
 
-from expected_terms import MAIN_PREFIX
+from expected_terms import LINEAR_PREFIX, MAIN_PREFIX, QUAD_PREFIX, ROWLAND_DIFF_PREFIX
 
 
 def run(capsys, *argv):
@@ -87,18 +87,29 @@ def test_gen_unusable_path_is_a_clean_error(tmp_path, capsys, option):
     assert err.startswith("gcdseq gen: error: ") and err.count("\n") == 1
 
 
-def test_gen_cache_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("family, n_from", [("main", 3), ("quad:2", 3), ("linear:3", 3),
+                                             ("rowland", 1)],
+                         ids=["main", "quad:2", "linear:3", "rowland"])
+def test_gen_cache_roundtrip(tmp_path, capsys, family, n_from):
     cache = tmp_path / "cache.jsonl"
-    args = ("gen", "--family", "main", "--from", "3", "--to", "8",
+    args = ("gen", "--family", family, "--from", str(n_from), "--to", "8",
             "--cache", str(cache))
     code, first, _ = run(capsys, *args)
     assert code == 0
     cached_lines = cache.read_text().strip().splitlines()
-    assert len(cached_lines) == 6
-    code, second, _ = run(capsys, *args)
-    assert code == 0
+    assert len(cached_lines) == 9 - n_from
+    code, second, err = run(capsys, *args)
+    assert code == 0 and err == ""
     assert first == second
     assert cache.read_text().strip().splitlines() == cached_lines  # append-only, no growth
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_gen_offset_applies_to_bfile_only(capsys, fmt):
+    code, out, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "5",
+                         "--format", fmt, "--offset", "7")
+    assert code == 1 and out == ""
+    assert err == "gcdseq gen: error: --offset applies to --format bfile only\n"
 
 
 MAIN_3 = {"family": "main", "n": 3, "x": 5, "y_mod_x": 1, "d": 1, "a": 5, "class": "prime"}
@@ -120,6 +131,8 @@ MAIN_3 = {"family": "main", "n": 3, "x": 5, "y_mod_x": 1, "d": 1, "a": 5, "class
     pytest.param(json.dumps({"family": "main", "n": 3, "x": 5, "y_mod_x": 0, "d": 5, "a": 1,
                              "class": "prime"}) + "\n",
                  "main", "invalid cache entry", "3,5,1,5,prime", id="class-mismatch"),
+    pytest.param(json.dumps({**MAIN_3, "y_mod_x": MAIN_3["y_mod_x"] + MAIN_3["x"]}) + "\n",
+                 "main", "invalid cache entry", "3,5,1,5,prime", id="unreduced-residue"),
 ])
 def test_gen_cache_detects_corruption(tmp_path, capsys, content, family, warning, row):
     cache = tmp_path / "cache.jsonl"
@@ -413,16 +426,36 @@ def test_verify_output_deterministic(capsys):
     assert first == second
 
 
-def test_oeis_check_auto_offset(tmp_path, capsys):
-    # file indexed from 1 while the sequence starts at n = 3: offset -2
+@pytest.mark.parametrize("family, terms, shift", [
+    pytest.param("main", MAIN_PREFIX[:30], -2, id="main-2"),  # indexed from 1
+    pytest.param("main", MAIN_PREFIX[:30], 0, id="main+0"),
+    pytest.param("main", MAIN_PREFIX[:30], 5, id="main+5"),
+    pytest.param("quad:2", QUAD_PREFIX[2], 7, id="quad:2+7"),
+    pytest.param("linear:3", LINEAR_PREFIX[3], 1, id="linear:3+1"),
+    pytest.param("rowland", ROWLAND_DIFF_PREFIX, 4, id="rowland+4"),
+])
+def test_oeis_check_auto_offset(tmp_path, capsys, family, terms, shift):
     bpath = tmp_path / "shifted.txt"
-    _write_bfile(bpath, [(i - 2, v) for i, v in enumerate(MAIN_PREFIX[:30], start=3)])
+    first = 1 if family == "rowland" else 3
+    _write_bfile(bpath, [(n + shift, v) for n, v in enumerate(terms, start=first)])
     code, out, _ = run(capsys, "oeis-check", "--bfile", str(bpath),
-                       "--family", "main", "--offset", "auto")
+                       "--family", family, "--offset", "auto")
     assert code == 0
     report = json.loads(out)
-    assert report["offset"] == -2
-    assert report["compared"] == 30
+    assert report["offset"] == shift
+    assert report["compared"] == len(terms)
+
+
+def test_oeis_check_auto_offset_tie_goes_to_the_smallest(tmp_path, capsys):
+    # 4 is no term of main, so every candidate offset -7..7 agrees on 0 entries
+    bpath = tmp_path / "first-wrong.txt"
+    _write_bfile(bpath, [(3, 4)] + [(i, v) for i, v in enumerate(MAIN_PREFIX[1:30], start=4)])
+    code, out, _ = run(capsys, "oeis-check", "--bfile", str(bpath),
+                       "--family", "main", "--offset", "auto")
+    assert code == 2
+    report = json.loads(out)
+    assert report["offset"] == -7
+    assert report["compared"] == 1 and report["first_divergence"]["file_index"] == 3
 
 
 def test_oeis_check_skips_below_domain(tmp_path, capsys):
@@ -453,6 +486,10 @@ def test_oeis_check_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "oeis-check", "--bfile", str(bpath), "--family", "main")
     assert code == 2
     assert "line 2" in err
+    bpath.write_bytes(b"3 5\n4 11\n\xff\n")
+    code, out, err = run(capsys, "oeis-check", "--bfile", str(bpath), "--family", "main")
+    assert code == 2 and out == ""
+    assert "line 3" in err and err.count("\n") == 1
 
 
 def test_oeis_check_empty_file(tmp_path, capsys):

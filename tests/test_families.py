@@ -23,7 +23,7 @@ from gcdseq.families import (
     verify_factorial_replacement,
     verify_strategy_equivalence,
 )
-from gcdseq.recurrences import b
+from gcdseq.recurrences import b, left_factorial
 
 from expected_terms import LINEAR_PREFIX, MAIN_PREFIX, QUAD_PREFIX, ROWLAND_DIFF_PREFIX
 
@@ -235,6 +235,23 @@ def test_gcd_via_factorial_prime_power_oracle():
                     e += 1
                 expected *= p ** min(e, legendre(p, n - 1))
         assert gcd_via_factorial(n, x) == expected
+
+
+def test_partner_left_factorial_identity():
+    # 2*partner = x*!t + c*(t+2)*t!, from which the factorial-replacement law follows
+    forms = [(MAIN, 3, 1)]  # (family, t = n - shift, c)
+    forms += [(quadratic(k), 3, k) for k in range(1, 7)]
+    forms += [(linear(k), 2, 1) for k in range(1, 7)]
+    checked = 0
+    for family, shift, c in forms:
+        for n in range(3, 200):
+            t = n - shift
+            x = numerator(family, n)
+            assert 2 * gcd_partner(family, n) == (
+                x * left_factorial(t) + c * (t + 2) * math.factorial(t)
+            ), (str(family), n)
+            checked += 1
+    assert checked == 2561
 
 
 def test_factorial_replacement_range():
