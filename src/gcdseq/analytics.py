@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .conjectures import OccurrenceIndex
 from .errors import EmptyRange
-from .families import Classification, FamilySpec, Kind, MAIN, ROWLAND, scan
+from .families import FamilySpec, Kind, MAIN, ROWLAND, scan
 
 
 @dataclass(frozen=True)
@@ -36,42 +37,28 @@ def efficiency(family: FamilySpec, count: int, window: int | None = None) -> Eff
         raise EmptyRange(f"need at least one term, got {count}")
     if window is None:
         window = max(1, count // 10)
+    elif window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     first = family.first_index
-    if family.kind is Kind.ROWLAND:
-        records = scan(family, 1, count - 1) if count > 1 else iter(())
-    else:
-        records = scan(family, first, first + count - 1)
-
-    ones = prime_terms = composite_terms = measured = 0
-    seen: set[int] = set()
-    rate: list[int] = []
-    new_in_window = 0
-    for rec in records:
-        measured += 1
-        if rec.classification is Classification.ONE:
-            ones += 1
-        elif rec.classification is Classification.PRIME:
-            prime_terms += 1
-            if rec.a not in seen:
-                seen.add(rec.a)
-                new_in_window += 1
-        else:
-            composite_terms += 1
-        if measured % window == 0:
-            rate.append(new_in_window)
-            new_in_window = 0
-    if measured % window:
-        rate.append(new_in_window)
+    last = first + count - (2 if family.kind is Kind.ROWLAND else 1)
+    index = OccurrenceIndex.of(family, last, scan(family, first, last) if last >= first else ())
+    primes = index.prime_occurrences
+    prime_terms = sum(map(len, primes.values()))
+    composite_terms = sum(map(len, index.composite_occurrences.values()))
+    measured = last - first + 1
+    rate = [0] * ((measured + window - 1) // window)
+    for occ in primes.values():
+        rate[(occ[0] - first) // window] += 1
     return EfficiencyReport(
         family=str(family),
         terms=count,
         measured=measured,
-        ones=ones,
+        ones=index.ones,
         prime_terms=prime_terms,
         composite_terms=composite_terms,
-        distinct_primes=len(seen),
-        max_prime=max(seen) if seen else None,
-        primes=tuple(sorted(seen)),
+        distinct_primes=len(primes),
+        max_prime=max(primes, default=None),
+        primes=tuple(sorted(primes)),
         new_prime_rate=tuple(rate),
         window=window,
     )

@@ -20,6 +20,13 @@ class BFile:
     comments: tuple[str, ...]
 
 
+def read_int(text: str) -> int:
+    """An optional '-' and ASCII digits as an int; '+3', '1_0', ' 3' are ValueErrors."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"invalid int value: {text!r}")
+
+
 def parse_bfile(text: str) -> BFile:
     entries: list[tuple[int, int]] = []
     comments: list[str] = []
@@ -36,9 +43,10 @@ def parse_bfile(text: str) -> BFile:
             raise BFileParseError(
                 f"expected '<index> <value>', got {raw!r}", line_no
             )
-        if not all(f.isascii() and f.removeprefix("-").isdigit() for f in fields):
-            raise BFileParseError(f"non-integer field in {raw!r}", line_no)
-        index, value = int(fields[0]), int(fields[1])
+        try:
+            index, value = map(read_int, fields)
+        except ValueError:
+            raise BFileParseError(f"non-integer field in {raw!r}", line_no) from None
         if last_index is not None and index <= last_index:
             raise BFileParseError(
                 f"index {index} not above previous {last_index}", line_no

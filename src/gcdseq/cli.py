@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import analytics, conjectures, contfrac, families
-from .bfile import format_bfile, read_bfile
+from .bfile import format_bfile, read_bfile, read_int
 from .errors import (
     BFileParseError,
     EmptyRange,
@@ -49,11 +49,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _family_arg(text):
-    try:
-        return families.FamilySpec.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg_type(parse):
+    """An argparse type that reports ``parse``'s ValueError message."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_family_arg = _arg_type(families.FamilySpec.parse)
+_int_arg = _arg_type(read_int)
 
 
 def _jsonable(obj):
@@ -194,8 +201,7 @@ def cmd_gen(args):
 
 def _identity_indices(n_max):
     """The n = 3..n_max an identity suite checks; none is a usage error."""
-    if n_max < 3:
-        raise EmptyRange(f"empty range 3..{n_max}")
+    families._check_range(families.MAIN, 3, n_max)
     return range(3, n_max + 1)
 
 
@@ -429,7 +435,7 @@ def cmd_oeis_check(args):
         offset = _fit_offset(data.entries, family)
     else:
         try:
-            offset = int(args.offset)
+            offset = read_int(args.offset)
         except ValueError:
             print(f"gcdseq oeis-check: error: bad offset {args.offset!r}",
                   file=sys.stderr)
@@ -468,10 +474,10 @@ def build_parser():
     p_gen = sub.add_parser("gen", help="generate terms")
     p_gen.add_argument("--family", type=_family_arg, required=True,
                        help="main | quad:<k> | linear:<k> | rowland")
-    p_gen.add_argument("--from", dest="n_from", type=int, required=True)
-    p_gen.add_argument("--to", dest="n_to", type=int, required=True)
+    p_gen.add_argument("--from", dest="n_from", type=_int_arg, required=True)
+    p_gen.add_argument("--to", dest="n_to", type=_int_arg, required=True)
     p_gen.add_argument("--format", choices=("csv", "jsonl", "bfile"), default="csv")
-    p_gen.add_argument("--offset", type=int,
+    p_gen.add_argument("--offset", type=_int_arg,
                        help="b-file index = n + offset, default 0 (bfile only)")
     p_gen.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_gen.add_argument("--cache", default=None,
@@ -486,22 +492,22 @@ def build_parser():
     p_verify.add_argument("--family", type=_family_arg,
                           help="terms/symmetry suites (default main); other "
                                "suites accept only the family they run")
-    p_verify.add_argument("--to", "--n-max", dest="to", type=int,
+    p_verify.add_argument("--to", "--n-max", dest="to", type=_int_arg,
                           help="term count or index bound, per suite")
-    p_verify.add_argument("--trials", type=int, help="random m per n (theorem1)")
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--eq5-max", type=int)
-    p_verify.add_argument("--m-min", type=int)
-    p_verify.add_argument("--m-max", type=int)
-    p_verify.add_argument("--lf-max", type=int)
-    p_verify.add_argument("--bound", type=int, help="value bound (coverage)")
-    p_verify.add_argument("--k-max", type=int)
+    p_verify.add_argument("--trials", type=_int_arg, help="random m per n (theorem1)")
+    p_verify.add_argument("--seed", type=_int_arg)
+    p_verify.add_argument("--eq5-max", type=_int_arg)
+    p_verify.add_argument("--m-min", type=_int_arg)
+    p_verify.add_argument("--m-max", type=_int_arg)
+    p_verify.add_argument("--lf-max", type=_int_arg)
+    p_verify.add_argument("--bound", type=_int_arg, help="value bound (coverage)")
+    p_verify.add_argument("--k-max", type=_int_arg)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_cf = sub.add_parser("cf", help="evaluate a continued fraction")
     p_cf.add_argument("--scheme", choices=("t1", "t2"), required=True)
-    p_cf.add_argument("--n", type=int, required=True)
-    p_cf.add_argument("--m", type=int, required=True)
+    p_cf.add_argument("--n", type=_int_arg, required=True)
+    p_cf.add_argument("--m", type=_int_arg, required=True)
     p_cf.set_defaults(fn=cmd_cf)
 
     p_oeis = sub.add_parser("oeis-check", help="diff local terms against a b-file")
@@ -509,12 +515,12 @@ def build_parser():
     p_oeis.add_argument("--family", type=_family_arg, required=True)
     p_oeis.add_argument("--offset", default="0",
                         help="integer, or 'auto' to fit by longest agreement")
-    p_oeis.add_argument("--limit", type=int, default=0,
+    p_oeis.add_argument("--limit", type=_int_arg, default=0,
                         help="compare at most this many entries (0 = all)")
     p_oeis.set_defaults(fn=cmd_oeis_check)
 
     p_cmp = sub.add_parser("compare", help="prime yield vs the Rowland sequence")
-    p_cmp.add_argument("--terms", type=int, default=25)
+    p_cmp.add_argument("--terms", type=_int_arg, default=25)
     p_cmp.set_defaults(fn=cmd_compare)
 
     return parser

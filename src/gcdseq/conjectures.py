@@ -10,6 +10,11 @@ Conventions for the bound argument follow each operation's contract:
 (scan starts at the family's first index), while ``verify_symmetry``,
 ``verify_pair_identities`` and ``prime_coverage`` take an index BOUND
 (scan covers first_index..n_max inclusive).
+
+Symmetry, pairs, triple, coverage and ``analytics.efficiency`` read one tally
+of their scan, an :class:`OccurrenceIndex`. ``verify_primes_or_one`` streams:
+it needs only counts, and an index of its 10,000-term default scan would
+hold every prime occurrence at once.
 """
 
 from __future__ import annotations
@@ -68,28 +73,31 @@ def verify_primes_or_one(family: FamilySpec, count: int) -> PrimesOrOneReport:
 
 @dataclass(frozen=True)
 class OccurrenceIndex:
-    """Which indices produced each value, over a scanned prefix."""
+    """The tally of one scan: its ones, and the indices that produced each value."""
 
     family: str
     scanned_upto: int
+    ones: int
     prime_occurrences: Mapping[int, tuple[int, ...]]
     composite_occurrences: Mapping[int, tuple[int, ...]]
 
+    @classmethod
+    def of(cls, family: FamilySpec, n_max: int, records) -> "OccurrenceIndex":
+        """Tally ``records``, the scan of ``family`` up to index ``n_max``."""
+        ones = 0
+        buckets: dict = {Classification.PRIME: {}, Classification.COMPOSITE: {}}
+        for rec in records:
+            if rec.classification is Classification.ONE:
+                ones += 1
+            else:
+                buckets[rec.classification].setdefault(rec.a, []).append(rec.n)
+        primes, composites = ({v: tuple(idx) for v, idx in bucket.items()}
+                              for bucket in buckets.values())
+        return cls(str(family), n_max, ones, primes, composites)
+
 
 def occurrence_index(family: FamilySpec, n_max: int) -> OccurrenceIndex:
-    primes: dict[int, list[int]] = {}
-    composites: dict[int, list[int]] = {}
-    for rec in scan(family, family.first_index, n_max):
-        if rec.classification is Classification.ONE:
-            continue
-        bucket = primes if rec.classification is Classification.PRIME else composites
-        bucket.setdefault(rec.a, []).append(rec.n)
-    return OccurrenceIndex(
-        str(family),
-        n_max,
-        {v: tuple(idx) for v, idx in primes.items()},
-        {v: tuple(idx) for v, idx in composites.items()},
-    )
+    return OccurrenceIndex.of(family, n_max, scan(family, family.first_index, n_max))
 
 
 @dataclass(frozen=True)
@@ -123,22 +131,20 @@ def verify_symmetry(family: FamilySpec, n_max: int) -> SymmetryReport:
     k = quadratic_k(family)
     if k is None:
         raise UnsupportedFamily(f"mirror law not defined for {family}")
-    checked = 0
+    index = occurrence_index(family, n_max)
+    occurrences = sorted((n, p) for p, occ in index.prime_occurrences.items() for n in occ)
     violations = []
     out_of_domain = []
-    for rec in scan(family, family.first_index, n_max):
-        if rec.classification is not Classification.PRIME:
-            continue
-        p = rec.a
-        mirror = p - rec.n - k + 2
-        checked += 1
+    for n, p in occurrences:
+        mirror = p - n - k + 2
         if mirror < family.first_index:
-            out_of_domain.append((rec.n, p, mirror))
+            out_of_domain.append((n, p, mirror))
             continue
         mirrored = term(family, mirror).a
         if mirrored != p:
-            violations.append((rec.n, p, mirror, mirrored))
-    return SymmetryReport(str(family), n_max, checked, tuple(violations), tuple(out_of_domain))
+            violations.append((n, p, mirror, mirrored))
+    return SymmetryReport(str(family), n_max, len(occurrences), tuple(violations),
+                          tuple(out_of_domain))
 
 
 @dataclass(frozen=True)
@@ -289,20 +295,9 @@ class CoverageReport:
 
 
 def prime_coverage(n_max: int, bound: int) -> CoverageReport:
-    seen = set()
-    for rec in scan(MAIN, 3, n_max):
-        if rec.classification is Classification.PRIME:
-            seen.add(rec.a)
-    missing = []
-    candidates = present = 0
-    for p in range(11, bound + 1, 2):
-        if p % 10 not in (1, 9):
-            continue
-        if is_prime(p).verdict is not Verdict.PRIME:
-            continue
-        candidates += 1
-        if p in seen:
-            present += 1
-        else:
-            missing.append(p)
-    return CoverageReport(n_max, bound, candidates, present, tuple(missing), n_max + 1)
+    seen = occurrence_index(MAIN, n_max).prime_occurrences
+    candidates = [p for p in range(11, bound + 1, 2)
+                  if p % 10 in (1, 9) and is_prime(p).verdict is Verdict.PRIME]
+    missing = tuple(p for p in candidates if p not in seen)
+    return CoverageReport(n_max, bound, len(candidates), len(candidates) - len(missing),
+                          missing, n_max + 1)

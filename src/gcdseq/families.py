@@ -39,6 +39,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import _backend
+from .bfile import read_int
 from .errors import EmptyRange, IndexBelowDomain, UnsupportedFamily
 from .primality import Verdict, is_prime
 from .recurrences import b, rowland_diff
@@ -86,7 +87,7 @@ class FamilySpec:
             if not param:
                 raise ValueError(f"{name} family needs a parameter, e.g. {name}:2")
             try:
-                k = int(param)
+                k = read_int(param)
             except ValueError:
                 raise ValueError(f"bad family parameter {param!r}") from None
             return cls(kind, k)

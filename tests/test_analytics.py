@@ -1,3 +1,5 @@
+import pytest
+
 from gcdseq.analytics import compare, efficiency
 from gcdseq.families import MAIN, ROWLAND, linear, quadratic
 
@@ -15,6 +17,7 @@ def test_rowland_25_distinct_primes():
     assert report.measured == 24  # differences of the first 25 terms
     assert report.primes == (3, 5, 11, 23)
     assert report.distinct_primes == 4
+    assert report.new_prime_rate == (0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0)
 
 
 def test_single_term_reports():
@@ -34,6 +37,7 @@ def test_ones_accounting():
     report = efficiency(MAIN, 46)
     assert report.ones + report.prime_terms + report.composite_terms == report.measured
     assert report.ones == 3  # n = 37, 43, 48 fall inside the first 46 terms
+    assert report.new_prime_rate == (4, 3, 4, 3, 3, 3, 4, 3, 2, 4, 2, 1)
 
 
 def test_composites_counted_for_other_families():
@@ -41,12 +45,24 @@ def test_composites_counted_for_other_families():
     assert report.composite_terms == 1  # the 49 at n = 6
     report = efficiency(linear(4), 10)
     assert report.composite_terms == 1  # the 4 at n = 4
+    report = efficiency(quadratic(5), 30)
+    assert (report.ones, report.prime_terms, report.composite_terms) == (3, 26, 1)
+    assert report.new_prime_rate == (3, 1, 3, 2, 2, 2, 3, 3, 2, 3)
+    report = efficiency(linear(4), 30)
+    assert (report.ones, report.prime_terms, report.composite_terms) == (10, 19, 1)
+    assert report.new_prime_rate == (2, 2, 3, 1, 2, 1, 3, 1, 2, 2)
 
 
 def test_new_prime_rate_windows():
     report = efficiency(MAIN, 25, window=5)
-    assert len(report.new_prime_rate) == 5
+    assert report.new_prime_rate == (5, 4, 4, 4, 4)
     assert sum(report.new_prime_rate) == report.distinct_primes
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_window_below_one_is_rejected(window):
+    with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+        efficiency(MAIN, 25, window=window)
 
 
 def test_compare_25():

@@ -348,11 +348,11 @@ def test_verify_unknown_suite_usage(capsys):
 ], ids=lambda argv: argv[0])
 def test_closed_stdout_exits_2_without_a_traceback(argv):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gcdseq.__file__))}
-    proc = subprocess.Popen([sys.executable, "-m", "gcdseq.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()  # the reader is gone before the child writes anything
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 2
+    with subprocess.Popen([sys.executable, "-m", "gcdseq.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # the reader is gone before the child writes anything
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
     assert err == b""
 
 
@@ -508,6 +508,55 @@ def test_oeis_check_negative_limit_usage_error(tmp_path, capsys):
                          "--limit", "-1")
     assert code == 1 and out == ""
     assert "bad limit -1" in err
+
+
+def _with_bfile(tmp_path, argv):
+    """``argv``, given a b-file of main indexed from 1 if it runs oeis-check."""
+    if argv[0] != "oeis-check":
+        return argv
+    bpath = tmp_path / "b.txt"
+    _write_bfile(bpath, [(n - 2, v) for n, v in enumerate(MAIN_PREFIX[:10], start=3)])
+    return (*argv, "--bfile", str(bpath), "--family", "main")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oeis-check", "--offset", "1_0"), "bad offset '1_0'"),
+    (("oeis-check", "--offset", "\u0665"), "bad offset '\u0665'"),
+    (("oeis-check", "--offset", "+2"), "bad offset '+2'"),
+    (("gen", "--family", "quad:1_0", "--from", "3", "--to", "5"),
+     "bad family parameter '1_0'"),
+    (("gen", "--family", "linear:\u0663", "--from", "3", "--to", "5"),
+     "bad family parameter '\u0663'"),
+    (("gen", "--family", "main", "--from", "+3", "--to", "5"), "invalid int value: '+3'"),
+    (("verify", "--suite", "terms", "--to", "1_0"), "invalid int value: '1_0'"),
+    (("verify", "--suite", "theorem2", "--m-min", " -2"), "invalid int value: ' -2'"),
+    (("cf", "--scheme", "t1", "--n", "4", "--m", "\u0667"), "invalid int value: '\u0667'"),
+    (("oeis-check", "--limit", "+3"), "invalid int value: '+3'"),
+    (("compare", "--terms", "2_5"), "invalid int value: '2_5'"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_integers_follow_the_bfile_field_rule(tmp_path, capsys, argv, message):
+    # an integer from outside is an optional '-' and ASCII digits, as in a b-file
+    argv = _with_bfile(tmp_path, argv)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("verify", "--suite", "theorem2", "--n-max", "4", "--m-min", "-20", "--m-max", "-18",
+      "--lf-max", "5"), '"m_range": [\n    -20,\n    -18\n  ]'),
+    (("oeis-check", "--offset", "-2"), '"offset": -2'),
+    (("cf", "--scheme", "t1", "--n", "4", "--m", "-7"), "eq1 = "),
+], ids=["m-min", "offset", "cf-m"])
+def test_negative_integers_are_accepted(tmp_path, capsys, argv, expected):
+    argv = _with_bfile(tmp_path, argv)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert expected in out
 
 
 def test_oeis_check_missing_file(capsys):

@@ -55,6 +55,8 @@ def test_occurrence_index_small():
     assert index.prime_occurrences[29] == (6, 24)
     assert index.composite_occurrences == {}
     assert index.scanned_upto == 30
+    assert index.ones == 0
+    assert occurrence_index(MAIN, 50).ones == 3  # n = 37, 43, 48
     for occ in index.prime_occurrences.values():
         assert list(occ) == sorted(occ)
 
@@ -81,6 +83,12 @@ def test_symmetry_quadratic_out_of_domain_recorded():
     report = verify_symmetry(quadratic(5), 20)
     assert any(mirror < 3 for (_, _, mirror) in report.out_of_domain)
     assert report.clean
+    report = verify_symmetry(quadratic(5), 60)
+    assert report.checked == 49
+    assert report.out_of_domain == ((5, 7, -1), (10, 5, -8))
+    report = verify_symmetry(quadratic(3), 60)
+    assert report.checked == 51
+    assert report.out_of_domain == ((3, 3, -1), (29, 17, -13))
 
 
 def test_symmetry_rejects_linear():
