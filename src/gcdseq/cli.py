@@ -420,6 +420,13 @@ def cmd_oeis_check(args):
     if args.limit < 0:
         print(f"gcdseq oeis-check: error: bad limit {args.limit}", file=sys.stderr)
         return EXIT_USAGE
+    if args.offset != "auto":
+        try:
+            offset = read_int(args.offset)
+        except ValueError:
+            print(f"gcdseq oeis-check: error: bad offset {args.offset!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         data = read_bfile(args.bfile)
     except BFileParseError as exc:
@@ -433,13 +440,6 @@ def cmd_oeis_check(args):
         print("warning: empty b-file, nothing compared", file=sys.stderr)
     if args.offset == "auto":
         offset = _fit_offset(data.entries, family)
-    else:
-        try:
-            offset = read_int(args.offset)
-        except ValueError:
-            print(f"gcdseq oeis-check: error: bad offset {args.offset!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
     compared, skipped, divergence = _agreement(
         data.entries[: args.limit or None], family, offset)
     print(json.dumps({

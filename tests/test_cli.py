@@ -565,6 +565,13 @@ def test_oeis_check_missing_file(capsys):
     assert code == 2
 
 
+def test_oeis_check_bad_offset_is_checked_before_the_file(capsys):
+    code, out, err = run(capsys, "oeis-check", "--bfile", "/nonexistent/b.txt",
+                         "--family", "main", "--offset", "1_0")
+    assert code == 1 and out == ""
+    assert "bad offset '1_0'" in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import sysconfig
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdseq import _backend, _kernels_py
@@ -65,15 +65,47 @@ def test_backend_reports_itself():
 
 
 def test_pure_python_against_exact_values():
-    for x in (2, 7, 55, 1331, 10**9 + 7, 2**80 + 1):
-        for t in (0, 1, 2, 5, 40):
+    for x in (1, 2, 7, 55, 1331, 10**9 + 7, 2**80 + 1):
+        for t in (0, 1, 2, 3, 5, 40, 43):
             assert _kernels_py.b_mod_pair(t, x) == (b(t - 1) % x, b(t) % x)
 
 
+def _second_order_chain(t, x):
+    """b(j) = (j+2)(b(j-1) - b(j-2)) from b(-1) = 0, b(0) = 1, mod x."""
+    prev, cur = 0, 1 % x
+    for j in range(1, t + 1):
+        prev, cur = cur, ((j + 2) * (cur - prev)) % x
+    return prev, cur
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2000),
+    st.one_of(
+        st.just(1),
+        st.just(2),
+        st.integers(min_value=1, max_value=2**69).map(lambda k: 2 * k),
+        st.integers(min_value=1, max_value=2**70),
+    ),
+)
+@example(3, 1)
+@example(7, 2)
+@example(1999, 2**70)
+def test_pure_python_b_chain_every_tail(t, x):
+    # the left-factorial chain against exact b and the second-order chain
+    expected = (b(t - 1) % x, b(t) % x)
+    assert _kernels_py.b_mod_pair(t, x) == expected
+    assert _second_order_chain(t, x) == expected
+
+
 def test_pure_python_factorial_mod():
-    for x in (2, 55, 97, 10**12 + 39):
-        for m in (0, 1, 2, 7, 25):
-            assert _kernels_py.factorial_mod(m, x) == math.factorial(m) % x
+    # blocks of four factors are 1..4, 5..8, 9..12; the product first reaches
+    # 0 at m = 5 (5!), 7 (7!), 8 (8!) and 10 (2**8): in the tail for small m,
+    # and at the first, a middle, the last and a middle factor of a block
+    for x in (1, 2, 55, 97, 10**12 + 39, 2**70 + 3,
+              math.factorial(5), math.factorial(7), math.factorial(8), 2**8):
+        for m in (*range(14), 25):
+            assert _kernels_py.factorial_mod(m, x) == math.factorial(m) % x, (m, x)
 
 
 def test_factorial_mod_early_zero():
