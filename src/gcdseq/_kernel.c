@@ -1,9 +1,9 @@
 /* Compiled modular-chain kernels.
  *
  * Word-sized loop for small moduli, 128-bit multiply path up to 2**63.
- * The dispatcher in ``_backend`` falls back to the pure-Python kernels in
- * ``_kernels_py`` for anything larger; those are the reference these loops
- * must agree with.
+ * ``_backend`` calls these below 2**63 and runs its own pure-Python loops
+ * for anything larger; those loops are the reference these must agree
+ * with.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -31,14 +31,12 @@ class EfficiencyReport:
     window: int
 
 
-def efficiency(family: FamilySpec, count: int, window: int | None = None) -> EfficiencyReport:
-    """Measure the first ``count`` terms (differences, for Rowland)."""
+def efficiency(family: FamilySpec, count: int) -> EfficiencyReport:
+    """Measure the first ``count`` terms (differences, for Rowland); new
+    primes are counted per window of ``max(1, count // 10)`` items."""
     if count < 1:
         raise EmptyRange(f"need at least one term, got {count}")
-    if window is None:
-        window = max(1, count // 10)
-    elif window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+    window = max(1, count // 10)
     first = family.first_index
     last = first + count - (2 if family.kind is Kind.ROWLAND else 1)
     index = OccurrenceIndex.of(family, last, scan(family, first, last) if last >= first else ())

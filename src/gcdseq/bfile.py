@@ -62,7 +62,5 @@ def read_bfile(path) -> BFile:
         return parse_bfile(fh.read())
 
 
-def format_bfile(entries, comments=()) -> str:
-    lines = [c if c.startswith("#") else f"# {c}" for c in comments]
-    lines.extend(f"{index} {value}" for index, value in entries)
-    return "\n".join(lines) + "\n" if lines else ""
+def format_bfile(entries) -> str:
+    return "".join(f"{index} {value}\n" for index, value in entries)

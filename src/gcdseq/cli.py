@@ -436,12 +436,14 @@ def cmd_oeis_check(args):
         print(f"gcdseq oeis-check: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     family = args.family
-    if not data.entries:
-        print("warning: empty b-file, nothing compared", file=sys.stderr)
     if args.offset == "auto":
         offset = _fit_offset(data.entries, family)
     compared, skipped, divergence = _agreement(
         data.entries[: args.limit or None], family, offset)
+    if compared == 0:
+        why = ("empty b-file" if not data.entries else
+               f"every entry read falls below n = {family.first_index} at offset {offset}")
+        print(f"warning: {why}, nothing compared", file=sys.stderr)
     print(json.dumps({
         "bfile": args.bfile,
         "family": str(family),

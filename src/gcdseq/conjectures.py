@@ -2,7 +2,7 @@
 
 Every verifier scans exactly, classifies with :func:`is_prime`, and returns
 an immutable report whose ``clean`` property says whether any violation was
-found. Nothing here proves anything: a clean report only covers the scanned
+found. No report proves anything: a clean report only covers the scanned
 range, and a violation is returned as data, never patched over.
 
 Conventions for the bound argument follow each operation's contract:
@@ -15,6 +15,28 @@ Symmetry, pairs, triple, coverage and ``analytics.efficiency`` read one tally
 of their scan, an :class:`OccurrenceIndex`. ``verify_primes_or_one`` streams:
 it needs only counts, and an index of its 10,000-term default scan would
 hold every prime occurrence at once.
+
+For main the 1-or-prime law is proved; the scans still compute it. Let
+x = x(n) = n^2 - n - 1 and P+(x) its largest prime factor. Then a(n) = P+(x)
+if P+(x) >= n, and a(n) = 1 otherwise. By the factorial-replacement law (see
+``families``), a(n) = x / gcd(x, (n-1)!). Since x < n^2, at most one prime
+factor of x, counted with multiplicity, is >= n, and it divides a(n), as
+(n-1)! has no prime factor >= n. It is left to show that every p^e || x
+with p < n has e <= v = v_p((n-1)!), so that p does not divide a(n). x is
+odd, so p is odd.
+
+- If (n-1)/2 < p <= n-1, then v = 1. If p^2 divides x, then x/p^2 is odd
+  and below 4, because n <= 2p gives x < n^2 <= 4p^2; so it is 1 or 3. But
+  (n-1)^2 < x < n^2 for n >= 3, so x is not a square, and x = 3p^2 would
+  make (2n-1)^2 = 4x + 5 = 2 (mod 3).
+- If p <= (n-1)/2, let j = (n-1) // p >= 2. Then v >= j and n <= (j+1)p,
+  so x < (j+1)^2 p^2 <= p^(j+1) <= p^(v+1) whenever p^(j-1) >= (j+1)^2.
+  At j = 2 that holds for every p >= 9, and once it holds for some j >= 2
+  it holds for j + 1 too, since p^j >= 2(j+1)^2 >= (j+2)^2. So it fails
+  only for p = 2 (j <= 6), p = 3 (j <= 3), p = 5 and p = 7 (j = 2), all
+  with n <= 21. Among those n, p^(v+1) <= x for 13 pairs (n, p), and
+  p^(v+1) divides x for none of them (``test_conjectures`` derives the
+  pairs from the inequality and checks each one).
 """
 
 from __future__ import annotations

@@ -54,15 +54,11 @@ def test_composites_counted_for_other_families():
 
 
 def test_new_prime_rate_windows():
-    report = efficiency(MAIN, 25, window=5)
-    assert report.new_prime_rate == (5, 4, 4, 4, 4)
+    # 50 terms: the default window is 50 // 10 = 5 terms
+    report = efficiency(MAIN, 50)
+    assert report.window == 5
+    assert report.new_prime_rate == (5, 4, 4, 4, 4, 5, 2, 5, 3, 3)
     assert sum(report.new_prime_rate) == report.distinct_primes
-
-
-@pytest.mark.parametrize("window", [0, -1])
-def test_window_below_one_is_rejected(window):
-    with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
-        efficiency(MAIN, 25, window=window)
 
 
 def test_compare_25():

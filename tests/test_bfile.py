@@ -59,12 +59,5 @@ def test_format_and_roundtrip():
     assert parse_bfile(text).entries == entries
 
 
-def test_format_comments_roundtrip():
-    text = format_bfile(((1, 2),), comments=("# note", "bare"))
-    parsed = parse_bfile(text)
-    assert parsed.entries == ((1, 2),)
-    assert parsed.comments == ("# note", "# bare")
-
-
 def test_format_empty():
     assert format_bfile(()) == ""

@@ -501,6 +501,22 @@ def test_oeis_check_empty_file(tmp_path, capsys):
     assert json.loads(out)["compared"] == 0
 
 
+@pytest.mark.parametrize("extra", [
+    pytest.param(("--offset", "100"), id="offset-past-every-entry"),
+    pytest.param(("--offset", "0", "--limit", "2"), id="limit-stops-below-domain"),
+])
+def test_oeis_check_warns_when_nothing_is_compared(tmp_path, capsys, extra):
+    bpath = tmp_path / "main.txt"
+    _write_bfile(bpath, [(1, 999), (2, 999), (3, 5), (4, 11)])
+    code, out, err = run(capsys, "oeis-check", "--bfile", str(bpath), "--family", "main",
+                         *extra)
+    assert code == 0
+    report = json.loads(out)
+    assert report["entries"] == 4
+    assert report["compared"] == 0 and report["first_divergence"] is None
+    assert err.count("\n") == 1 and "nothing compared" in err
+
+
 def test_oeis_check_negative_limit_usage_error(tmp_path, capsys):
     bpath = tmp_path / "bad-last.txt"
     _write_bfile(bpath, [(3, 5), (4, 11), (5, 42)])

@@ -9,7 +9,7 @@ from gcdseq.conjectures import (
     verify_triple_rule_a2,
 )
 from gcdseq.errors import UnsupportedFamily
-from gcdseq.families import MAIN, ROWLAND, linear, quadratic, term
+from gcdseq.families import MAIN, ROWLAND, linear, numerator, quadratic, scan, term
 
 from expected_terms import PAIR_GCD_COUNTEREXAMPLES_2000
 
@@ -26,6 +26,52 @@ def test_primes_or_one_before_first_one():
     report = verify_primes_or_one(MAIN, 35)
     assert report.ones == 1
     assert report.primes == 34
+
+
+def _legendre(m, p):
+    """v_p(m!)."""
+    v, q = 0, p
+    while q <= m:
+        v += m // q
+        q *= p
+    return v
+
+
+def _largest_prime_factor(x, primes):
+    """P+(x) by trial division; ``primes`` must reach sqrt(x)."""
+    top = 1
+    for p in primes:
+        if p * p > x:
+            break
+        while x % p == 0:
+            x //= p
+            top = p
+    return max(top, x)
+
+
+def test_main_term_is_one_or_the_largest_prime_factor():
+    # the proof in the conjectures docstring: for p <= (n-1)/2 and
+    # j = (n-1) // p, p^(v+1) > x(n) with v = v_p((n-1)!) unless
+    # p^(j-1) < (j+1)^2; that fails at j = 2 for p >= 9, and once it fails
+    # for one j >= 2 it fails for every larger j
+    primes = [p for p in range(2, 3000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    exceptional = set()
+    for p in (p for p in primes if p < 9):
+        j = 2
+        while p ** (j - 1) < (j + 1) ** 2:
+            for n in range(max(3, j * p + 1), (j + 1) * p + 1):
+                if p ** (_legendre(n - 1, p) + 1) <= numerator(MAIN, n):
+                    exceptional.add((n, p))
+            j += 1
+    assert len(exceptional) == 13
+    assert all(numerator(MAIN, n) % p ** (_legendre(n - 1, p) + 1) for n, p in exceptional)
+    sweep = {(n, p) for n in range(3, 3001) for p in primes
+             if 2 * p <= n - 1 and p**3 <= numerator(MAIN, n)
+             and p ** (_legendre(n - 1, p) + 1) <= numerator(MAIN, n)}
+    assert sweep == exceptional
+    for rec in scan(MAIN, 3, 3000):
+        top = _largest_prime_factor(rec.x, primes)
+        assert rec.a == (top if top >= rec.n else 1), rec.n
 
 
 def test_primes_or_one_sees_composites():
