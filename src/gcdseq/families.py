@@ -1,4 +1,4 @@
-"""The gcd-filtered sequence families and their two term-computation strategies.
+"""The gcd-filtered sequence families and the routes that compute their terms.
 
 A term of the main sequence at index n >= 3 is
 
@@ -24,11 +24,32 @@ gcd(x, partner) = gcd(x, 2*partner) = gcd(x, (n-1)*(n-3)!), and
 x = (n-2)(n+1) + 1 is prime to n-2, so this is gcd(x, (n-1)!) for every
 n >= 3 (by hand: gcd(5, 1) = gcd(5, 2!) and gcd(11, 7) = gcd(11, 3!)).
 
-Each term can be computed two ways: evaluate the partner form on
-exact b (ExactBigInt), or on the pair (b(t-1), b(t)) mod x that the b-chain
-yields when it runs entirely in residues (ModularFast); the two must agree
-field for field. The Rowland sequence is carried as a degenerate family
-whose "terms" are its first differences.
+The partner reaches a record by one of three routes, and all three must
+agree field for field:
+
+* exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
+* chain (``scan``): the pair (b(t-1), b(t)) mod x that the b-chain yields
+  when it runs entirely in residues, O(t) steps per term;
+* factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
+  the prime factorisation of x, as follows.
+
+For t >= 2 the left factorial !t = 0! + 1! + (2! + ... + (t-1)!) is
+2 plus a sum of even numbers, so x*!t = 0 (mod 2x) and the identity gives
+2*(partner mod x) = c*(t+2)*F mod 2x with F = t! mod 2x. F comes by the
+Chinese remainder theorem from t! mod p^e for each p^e exactly dividing 2x:
+
+* if Legendre's v_p(t!) = sum_i floor(t/p^i) is >= e, the residue is 0;
+* else if e = 1 (then p > t), Wilson's (p-1)! = -1 (mod p) and
+  (t+1)(t+2)...(p-1) = (-1)^k * k! (mod p), k = p-1-t, give
+  t! = (-1)^(k+1) / k! (mod p), so the cheaper of t and k factors is run;
+* else the residue is t! mod p^e, run forward.
+
+This is exact while x < 2**64: ``primality.factor`` confirms each prime by
+Miller-Rabin over a base set that is deterministic below 2**64. For larger x,
+and for t < 2, the factor route falls back to the chain.
+
+The Rowland sequence is carried as a degenerate family whose "terms" are its
+first differences.
 """
 
 from __future__ import annotations
@@ -41,8 +62,11 @@ from typing import Iterator
 from . import _backend
 from .bfile import read_int
 from .errors import EmptyRange, IndexBelowDomain, UnsupportedFamily
-from .primality import Verdict, is_prime
+from .primality import Verdict, factor, is_prime
 from .recurrences import b, rowland_diff
+
+
+_FACTOR_LIMIT = 1 << 64  # primality.factor is exact below this
 
 
 class Kind(Enum):
@@ -212,23 +236,69 @@ def _record(family: FamilySpec, n: int, x: int, y_mod_x: int) -> TermRecord:
     return TermRecord(family, n, x, y_mod_x, d, a, _classify(a))
 
 
-def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST) -> TermRecord:
-    """Compute one term; both strategies produce identical records."""
+def _factorial_mod_prime_power(t: int, p: int, e: int) -> int:
+    """t! mod p**e for a prime p: 0 by Legendre, Wilson's form, or forward."""
+    v, q = 0, t
+    while q and v < e:
+        q //= p
+        v += q
+    if v >= e:
+        return 0
+    k = p - 1 - t
+    if e == 1 and k < t:
+        r = pow(_backend.factorial_mod(k, p), -1, p)
+        return r if k % 2 else p - r
+    return _backend.factorial_mod(t, p**e)
+
+
+def _factored_residue(family: FamilySpec, n: int, x: int) -> int:
+    """The gcd partner mod x from the factors of 2x (module docstring)."""
+    _, t, c, _ = _definition(family, n)
+    if t < 2 or x >= _FACTOR_LIMIT:
+        return gcd_partner_residue(family, n, x)
+    m = 2 * x
+    powers = factor(x)
+    powers[2] = powers.get(2, 0) + 1
+    f = 0
+    for p, e in powers.items():
+        r = _factorial_mod_prime_power(t, p, e)
+        if r:
+            q = p**e
+            rest = m // q
+            f += r * rest * pow(rest, -1, q)
+    return c * (t + 2) * f % m // 2
+
+
+def _exact_residue(family: FamilySpec, n: int, x: int) -> int:
+    return gcd_partner(family, n) % x
+
+
+def _term(family: FamilySpec, n: int, residue) -> TermRecord:
+    """The record of term n, with the partner mod x from ``residue(family, n, x)``."""
     if family.kind is Kind.ROWLAND:
         _check_index(family, n)
         diff = rowland_diff(n)
         return TermRecord(family, n, diff, 0, 1, diff, _classify(diff))
     x = numerator(family, n)
+    return _record(family, n, x, residue(family, n, x))
+
+
+def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST) -> TermRecord:
+    """Compute one term; both strategies produce identical records.
+
+    ``MODULAR_FAST`` takes the factor route, so a single term far out costs
+    a factorisation of x, not an O(n) chain.
+    """
     if strategy is Strategy.EXACT_BIGINT:
-        return _record(family, n, x, gcd_partner(family, n) % x)
-    return _record(family, n, x, gcd_partner_residue(family, n, x))
+        return _term(family, n, _exact_residue)
+    return _term(family, n, _factored_residue)
 
 
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
-    """Yield records for n_from..n_to inclusive, in ascending n."""
+    """Yield records for n_from..n_to inclusive, in ascending n, by the chain."""
     _check_range(family, n_from, n_to)
     for n in range(n_from, n_to + 1):
-        yield term(family, n)
+        yield _term(family, n, gcd_partner_residue)
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
@@ -279,7 +349,11 @@ class StrategyEquivalenceReport:
 
 
 def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
-    """Recompute every term both ways and compare records field for field."""
+    """Recompute every term both ways and compare records field for field.
+
+    ``MODULAR_FAST`` takes the factor route here, so this checks that route
+    against exact b, not the chain that ``scan`` runs.
+    """
     mismatches = []
     checked = 0
     for family in specs:

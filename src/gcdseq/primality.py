@@ -9,6 +9,10 @@ Three regimes:
 * v >= 2**64: Baillie-PSW style combination (strong base-2 test plus a
   strong Lucas test with Selfridge parameters); reported as a probable
   prime, never as proven.
+
+``factor`` splits 1 <= v < 2**64 into primes exactly: every factor it
+returns either has no prime factor up to its square root, by trial
+division, or passed the Miller-Rabin test that is deterministic there.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .errors import NonPositive
 _MR64_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_LIMIT = 10**6
 _U64 = 1 << 64
+_FACTOR_TRIAL_LIMIT = 1000  # factor() divides by every 6k +- 1 up to here
+_RHO_BATCH = 64  # rho steps per gcd
 
 
 class Verdict(Enum):
@@ -181,3 +187,84 @@ def is_prime(v: int) -> PrimalityVerdict:
         return PrimalityVerdict(v, verdict, Method.DETERMINISTIC_MR64)
     verdict = Verdict.PROBABLE_PRIME if _bpsw_is_probable_prime(v) else Verdict.COMPOSITE
     return PrimalityVerdict(v, verdict, Method.STRONG_PROBABLE)
+
+
+def _trial_divisors():
+    """2, 3, then every 6k +- 1: 5, 7, 11, 13, 17, 19, 23, 25, ..."""
+    yield 2
+    yield 3
+    f = 5
+    while True:
+        yield f
+        yield f + 2
+        f += 6
+
+
+def _brent_rho(v):
+    """A proper divisor of the odd composite v.
+
+    Pollard's rho with Brent's cycle search and products of differences
+    (Brent, BIT 20, 1980): one gcd per ``_RHO_BATCH`` steps, and a step-wise
+    replay of the last batch when that gcd is v. A polynomial y^2 + c whose
+    cycles close mod every prime factor at once is abandoned for c + 1.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % v
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % v
+                    q = q * (x - y) % v
+                g = math.gcd(q, v)
+                k += _RHO_BATCH
+            r *= 2
+        if g == v:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % v
+                g = math.gcd(x - ys, v)
+        if g != v:
+            return g
+
+
+def factor(v: int) -> dict[int, int]:
+    """The prime factorisation of 1 <= v < 2**64 as {p: e}, p ascending.
+
+    Trial division by 2, 3 and every 6k +- 1 up to ``_FACTOR_TRIAL_LIMIT``
+    takes the small primes; a composite cofactor is split by ``_brent_rho``.
+    Each larger factor kept either is below the square of the first divisor
+    not tried, or passed the uncached ``_mr_is_prime``, which is
+    deterministic below 2**64; so the result is exact. ``is_prime`` and its
+    cache are never touched.
+    """
+    if v < 1:
+        raise NonPositive(f"factorisation undefined for {v} < 1")
+    if v >= _U64:
+        raise ValueError(f"factor() needs v < 2**64, got {v}")
+    found = {}
+    for f in _trial_divisors():
+        if f > _FACTOR_TRIAL_LIMIT or f * f > v:
+            break
+        if v % f == 0:
+            e = 0
+            while v % f == 0:
+                v //= f
+                e += 1
+            found[f] = e
+    # v has no prime factor below f now, so v < f*f means v is 1 or prime
+    pending = [v] if v > 1 else []
+    while pending:
+        v = pending.pop()
+        if v < f * f or _mr_is_prime(v):
+            found[v] = found.get(v, 0) + 1
+        else:
+            d = _brent_rho(v)
+            pending += (d, v // d)
+    return dict(sorted(found.items()))

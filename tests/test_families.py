@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcdseq import _backend, families
 from gcdseq.errors import IndexBelowDomain, UnsupportedFamily
 from gcdseq.families import (
     MAIN,
@@ -23,6 +25,7 @@ from gcdseq.families import (
     verify_factorial_replacement,
     verify_strategy_equivalence,
 )
+from gcdseq.primality import factor
 from gcdseq.recurrences import b, left_factorial
 
 from expected_terms import LINEAR_PREFIX, MAIN_PREFIX, QUAD_PREFIX, ROWLAND_DIFF_PREFIX
@@ -214,15 +217,17 @@ def test_gcd_via_factorial_against_real_factorials():
         fact *= n
 
 
+def legendre(t, p):
+    """v_p(t!) = sum of t // p^i over i >= 1."""
+    v, q = 0, t
+    while q:
+        q //= p
+        v += q
+    return v
+
+
 def test_gcd_via_factorial_prime_power_oracle():
     # third route: gcd(x, (n-1)!) from the factorization of x by primes < n
-    def legendre(p, m):
-        total, q = 0, p
-        while q <= m:
-            total += m // q
-            q *= p
-        return total
-
     for n in range(3, 400):
         x = numerator(MAIN, n)
         expected = 1
@@ -233,7 +238,7 @@ def test_gcd_via_factorial_prime_power_oracle():
                 while rest % p == 0:
                     rest //= p
                     e += 1
-                expected *= p ** min(e, legendre(p, n - 1))
+                expected *= p ** min(e, legendre(n - 1, p))
         assert gcd_via_factorial(n, x) == expected
 
 
@@ -278,3 +283,115 @@ def test_strategies_identical_small():
 def test_strategies_identical_random(family_text, n):
     family = FamilySpec.parse(family_text)
     assert term(family, n, Strategy.EXACT_BIGINT) == term(family, n, Strategy.MODULAR_FAST)
+
+
+# ---------------------------------------------------------------------------
+# factor route: term() against the chain and the exact route
+# ---------------------------------------------------------------------------
+
+ROUTE_FAMILIES = (["main"] + [f"quad:{k}" for k in range(1, 7)]
+                  + [f"linear:{k}" for k in range(1, 7)])
+
+
+def chain_term(family, n):
+    x = numerator(family, n)
+    return families._record(family, n, x, gcd_partner_residue(family, n, x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ROUTE_FAMILIES), st.integers(min_value=3, max_value=2 * 10**5),
+       st.integers(min_value=3, max_value=1999))
+def test_factor_route_matches_chain_and_exact(family_text, n, n_exact):
+    # exact b is cached up to its index, so the exact route stays below 2000
+    family = FamilySpec.parse(family_text)
+    assert term(family, n) == chain_term(family, n)
+    assert term(family, n_exact) == term(family, n_exact, Strategy.EXACT_BIGINT)
+
+
+def factorial_calls(family, n):
+    """The record of term(family, n) and the (m, modulus) of each factorial_mod call."""
+    calls = []
+    real = _backend.factorial_mod
+
+    def spy(m, x):
+        calls.append((m, x))
+        return real(m, x)
+
+    with mock.patch.object(_backend, "factorial_mod", spy):
+        rec = term(family, n)
+    return rec, calls
+
+
+def test_factor_route_skips_t_below_two():
+    # t = n - 3 for main and t = n - 2 for linear: t is 0 or 1 here
+    def no_factoring(v):
+        raise AssertionError("factored x for t < 2")
+
+    with mock.patch.object(families, "factor", no_factoring):
+        for family, n in ((MAIN, 3), (MAIN, 4), (linear(1), 3), (linear(6), 3)):
+            assert term(family, n) == chain_term(family, n)
+            assert term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
+
+
+def test_factor_route_wilson_branch():
+    # a sparse mirror: x = 5 * 11 * 6491 * 358201, and t! mod 358201 comes from
+    # k! with k = 358201 - 1 - 357600 = 600, not from 357600 factors
+    n, t, p = 357_603, 357_600, 358_201
+    rec, calls = factorial_calls(MAIN, n)
+    assert factor(rec.x) == {5: 1, 11: 1, 6491: 1, p: 1}
+    assert calls == [(p - 1 - t, p)]
+    assert rec == chain_term(MAIN, n)
+    assert (rec.a, rec.classification) == (p, Classification.PRIME)
+
+
+def test_factor_route_forward_branch():
+    # p > t and k = p - 1 - t >= t: t! mod p is run forward
+    for n, p in ((5, 19), (991, 23929)):  # x = 19 and x = 41 * 23929
+        rec, calls = factorial_calls(MAIN, n)
+        assert max(factor(rec.x)) == p
+        assert calls == [(n - 3, p)]
+        assert rec == chain_term(MAIN, n) == term(MAIN, n, Strategy.EXACT_BIGINT)
+
+
+def test_factor_route_prime_power_branch():
+    # p^e exactly dividing 2x with e >= 2 and v_p(t!) < e: t! mod p^e, forward
+    found = []
+    for text in ROUTE_FAMILIES:
+        family = FamilySpec.parse(text)
+        for n in range(3, 200):
+            x, t, _, _ = families._definition(family, n)
+            wanted = [(t, p**e) for p, e in factor(2 * x).items()
+                      if e >= 2 and legendre(t, p) < e]
+            if t >= 2 and wanted:
+                rec, calls = factorial_calls(family, n)
+                assert set(wanted) <= set(calls), (text, n)
+                assert rec == chain_term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
+                found.append((text, n))
+    assert found
+
+
+def test_factor_route_above_two_to_the_64_takes_the_chain():
+    def no_factoring(v):
+        raise AssertionError("factored x >= 2**64")
+
+    with mock.patch.object(families, "factor", no_factoring):
+        for family, n in ((linear(2**64), 4), (quadratic(2**63), 6)):
+            x = numerator(family, n)
+            assert x >= 2**64
+            assert term(family, n) == chain_term(family, n)
+            assert term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
+    family = linear((2**64 - 5) // 3)  # x = 3k + 4 just below 2**64, t = 2
+    x = numerator(family, 4)
+    assert x < 2**64
+    with mock.patch.object(families, "factor", wraps=factor) as spy:
+        assert term(family, 4) == term(family, 4, Strategy.EXACT_BIGINT)
+    spy.assert_called_once_with(x)
+
+
+@pytest.mark.parametrize("text", ["main", *(f"quad:{k}" for k in range(1, 6)),
+                                  *(f"linear:{k}" for k in range(1, 6))])
+def test_scan_and_term_agree(text):
+    # scan takes the chain, term the factor route
+    family = FamilySpec.parse(text)
+    assert list(scan(family, family.first_index, 600)) == [
+        term(family, n) for n in range(family.first_index, 601)]

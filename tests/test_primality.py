@@ -8,6 +8,7 @@ from gcdseq.primality import (
     Verdict,
     _bpsw_is_probable_prime,
     _mr_is_prime,
+    factor,
     is_prime,
 )
 
@@ -110,3 +111,64 @@ def test_bpsw_exhaustive_small():
 @given(st.integers(min_value=2, max_value=2**64 - 1))
 def test_bpsw_agrees_with_deterministic_mr(v):
     assert _bpsw_is_probable_prime(v) == _mr_is_prime(v)
+
+
+# ---------------------------------------------------------------------------
+# factor
+# ---------------------------------------------------------------------------
+
+def _assert_factorisation(v, found):
+    assert list(found) == sorted(found)
+    product = 1
+    for p, e in found.items():
+        assert _mr_is_prime(p), (v, p)
+        assert e >= 1
+        product *= p**e
+    assert product == v
+
+
+def test_factor_examples():
+    cases = {
+        1: {},
+        2: {2: 1},
+        2**63: {2: 63},
+        1009**2: {1009: 2},
+        1009**3: {1009: 3},
+        997**2 * 1009: {997: 2, 1009: 1},
+        561: {3: 1, 11: 1, 17: 1},  # Carmichael numbers
+        41041: {7: 1, 11: 1, 13: 1, 41: 1},
+        # strong pseudoprime to the first nine prime bases, no factor below 10^5
+        3825123056546413051: {149491: 1, 747451: 1, 34233211: 1},
+        # two factors of equal size, past trial division
+        1000003 * 1000033: {1000003: 1, 1000033: 1},
+        4294967279 * 4294967291: {4294967279: 1, 4294967291: 1},
+        4294967291**2: {4294967291: 2},
+        2**64 - 59: {2**64 - 59: 1},  # the largest primes below 2^64
+        2**64 - 83: {2**64 - 83: 1},
+    }
+    for v, want in cases.items():
+        found = factor(v)
+        assert found == want, v
+        _assert_factorisation(v, found)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=2**64 - 1))
+def test_factor_random(v):
+    _assert_factorisation(v, factor(v))
+
+
+def test_factor_domain():
+    for v in (0, -1, -561):
+        with pytest.raises(NonPositive):
+            factor(v)
+    for v in (2**64, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(ValueError):
+            factor(v)
+
+
+def test_factor_leaves_the_is_prime_cache_alone():
+    before = is_prime.cache_info()
+    for v in (561, 1009**3, 3825123056546413051, 2**64 - 59):
+        factor(v)
+    assert is_prime.cache_info() == before
