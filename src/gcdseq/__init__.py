@@ -2,9 +2,9 @@
 sequences, their generalized families, and the finite continued-fraction
 identities they satisfy.
 
-The hot modular-chain kernels live in an optional C extension with a
-pure-Python fallback selected at import; ``backend_name()`` tells which one
-is active.
+Scans walk the exact t! and !t; the modular-chain kernels behind single
+terms and fallbacks live in an optional C extension with a pure-Python
+fallback selected at import; ``backend_name()`` tells which one is active.
 """
 
 from ._backend import backend_name

@@ -1,9 +1,15 @@
-"""Modular-chain kernels: the compiled extension when it was built, pure Python otherwise.
+"""Residue kernels: the exact left-factorial walk, and the modular chains.
+
+A scan asks for consecutive t, so it keeps a ``LeftFactorials`` walk: the
+exact integers t! and !t, advanced by one multiply and one add per step, and
+``b_mod_pair(t, x, walk)`` reduces them with one C-level ``%`` each. Without
+a walk, ``b_mod_pair`` and ``factorial_mod`` run an O(t) chain in residues:
+the compiled extension when it was built, pure Python otherwise.
 
 The extension is looked up once at import. Even when it loaded, arguments at
 or above 2**63 take the pure-Python loops below, which have no size limit on
 the modulus: plain Python integers throughout. The exact recurrences in
-``recurrences`` are the reference both are tested against.
+``recurrences`` are the reference all three are tested against.
 
 Both pure-Python loops reduce once per four factors: multiplying by a small
 factor costs less than a ``%``. A plain loop takes the last one to three
@@ -22,7 +28,30 @@ def backend_name():
     return "pure-python" if _ext is None else "compiled"
 
 
-def b_mod_pair(t, x):
+class LeftFactorials:
+    """An ascending walk over the exact pair (t!, !t), from t = 0.
+
+    !t = 0! + 1! + ... + (t-1)! is the left factorial, so !0 = 0 and
+    !(t+1) = !t + t!. Each step costs one bigint add and one multiply by a
+    small factor; asking for a smaller t than the last one is an error.
+    """
+
+    def __init__(self):
+        self.t, self.fact, self.left = 0, 1, 0
+
+    def at(self, t):
+        """Return ``(t!, !t)``, stepping forward from the last t asked for."""
+        if t < self.t:
+            raise ValueError(f"walk is at t={self.t}, cannot step back to t={t}")
+        f, s = self.fact, self.left
+        for j in range(self.t + 1, t + 1):
+            s += f
+            f *= j
+        self.t, self.fact, self.left = t, f, s
+        return f, s
+
+
+def b_mod_pair(t, x, walk=None):
     """Return ``(b(t-1) mod x, b(t) mod x)`` for t >= 0, x >= 1.
 
     Uses the left-factorial identity b(n) = (n+2) * !(n+1) / 2, where
@@ -37,7 +66,15 @@ def b_mod_pair(t, x):
     (t+1) * s mod 2x = 2 * (b(t-1) mod x), and halving it is exact; the
     same holds for (t+2) * (s + f). That covers every x >= 1, even x
     included, and t = 0 (s = 0, f = 1).
+
+    With a ``LeftFactorials`` walk, s and f are the exact !t and t! from the
+    walk, reduced mod 2x once each; the chain does not run.
     """
+    if walk is not None:
+        f, s = walk.at(t)
+        m = 2 * x
+        s %= m
+        return (t + 1) * s % m // 2, (t + 2) * (s + f % m) % m // 2
     if _ext is not None and x < _EXT_LIMIT and t < _EXT_LIMIT:
         return _ext.b_mod_pair(t, x)
     m = 2 * x

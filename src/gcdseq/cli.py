@@ -122,8 +122,9 @@ def _cache_entry_ok(family, n, rec):
 def _cached_records(family, n_from, n_to, cache_path):
     """Term dicts for the range, read from and written back to the cache.
 
-    A malformed line, or a cached entry that fails ``_cache_entry_ok``, gets
-    one warning on stderr and is dropped, and its term is recomputed. A run
+    The missing terms come from one ``scan`` over the first to the last of
+    them. A malformed line, or a cached entry that fails ``_cache_entry_ok``,
+    gets one warning on stderr and is dropped, and its term is recomputed. A run
     that computes a term or drops a line rewrites the whole file (valid
     entries in file order, then fresh ones) through a temporary file and
     ``os.replace``; a run served wholly from a clean cache writes nothing.
@@ -143,20 +144,24 @@ def _cached_records(family, n_from, n_to, cache_path):
                     dropped = True
                     continue
                 cached[(rec["family"], rec["n"])] = rec
-    fresh = []
-    records = []
+    missing = []
     for n in range(n_from, n_to + 1):
         rec = cached.get((key, n))
         if rec is not None:
             if _cache_entry_ok(family, n, rec):
-                records.append(rec)
                 continue
             print(f"warning: invalid cache entry for {key} n={n}; recomputed",
                   file=sys.stderr)
             del cached[(key, n)]
-        computed = families.term(family, n).as_dict()
-        records.append(computed)
-        fresh.append(computed)
+        missing.append(n)
+    fresh = []
+    if missing:
+        wanted = set(missing)
+        fresh = [rec.as_dict() for rec in families.scan(family, missing[0], missing[-1])
+                 if rec.n in wanted]
+    computed = {rec["n"]: rec for rec in fresh}
+    records = [computed[n] if n in computed else cached[(key, n)]
+               for n in range(n_from, n_to + 1)]
     if cache_path and (fresh or dropped):
         tmp = f"{cache_path}.{os.getpid()}.tmp"
         try:

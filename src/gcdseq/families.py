@@ -28,10 +28,18 @@ The partner reaches a record by one of three routes, and all three must
 agree field for field:
 
 * exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
-* chain (``scan``): the pair (b(t-1), b(t)) mod x that the b-chain yields
-  when it runs entirely in residues, O(t) steps per term;
+* walk (``scan``): a scan visits t in ascending order, so it keeps the
+  exact t! and !t (``_backend.LeftFactorials``), advances them by one
+  multiply and one add per term and reduces them mod 2x, where
+  2*b(t-1) = (t+1)*!t and 2*b(t) = (t+2)*(!t + t!). A scan that starts far
+  out (more indices below its first than in its range) would spend most of
+  its time walking up to it, and takes the factor route per term instead;
 * factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
   the prime factorisation of x, as follows.
+
+The b-chain, the pair (b(t-1), b(t)) mod x run entirely in residues in O(t)
+steps, remains only as a fallback: for t < 2 and x >= 2**64 in the factor
+route, and for ``verify_factorial_replacement`` from a far start.
 
 For t >= 2 the left factorial !t = 0! + 1! + (2! + ... + (t-1)!) is
 2 plus a sum of even numbers, so x*!t = 0 (mod 2x) and the identity gives
@@ -209,14 +217,16 @@ def gcd_partner(family: FamilySpec, n: int) -> int:
     return c * b(t) + e * b(t - 1)
 
 
-def gcd_partner_residue(family: FamilySpec, n: int, x: int) -> int:
+def gcd_partner_residue(family: FamilySpec, n: int, x: int, walk=None) -> int:
     """The gcd partner reduced mod x, never materializing it.
 
-    The whole b-chain runs in residues mod x, so gcd(x, result) equals
-    gcd(x, partner) while every intermediate stays below x.
+    Without a ``walk`` the whole b-chain runs in residues mod 2x. With one
+    (``_backend.LeftFactorials``, at or below this term's t) b(t-1) and
+    b(t) mod x come from its exact t! and !t. Either way gcd(x, result)
+    equals gcd(x, partner).
     """
     _, t, c, e = _definition(family, n)
-    b_prev, b_cur = _backend.b_mod_pair(t, x)  # b(t-1), b(t)
+    b_prev, b_cur = _backend.b_mod_pair(t, x, walk)  # b(t-1), b(t)
     return (c * b_cur + e * b_prev) % x
 
 
@@ -287,18 +297,39 @@ def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST)
     """Compute one term; both strategies produce identical records.
 
     ``MODULAR_FAST`` takes the factor route, so a single term far out costs
-    a factorisation of x, not an O(n) chain.
+    a factorisation of x, not an O(n) chain or a walk up from t = 0.
     """
     if strategy is Strategy.EXACT_BIGINT:
         return _term(family, n, _exact_residue)
     return _term(family, n, _factored_residue)
 
 
+def _walk_for(family: FamilySpec, n_from: int, n_to: int):
+    """A fresh walk for an ascending run over n_from..n_to, or None.
+
+    Walking up from t = 0 to the first term costs no more than the range it
+    serves only when n_from - first_index <= n_to - n_from.
+    """
+    if n_from - family.first_index <= n_to - n_from:
+        return _backend.LeftFactorials()
+    return None
+
+
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
-    """Yield records for n_from..n_to inclusive, in ascending n, by the chain."""
+    """Yield records for n_from..n_to inclusive, in ascending n.
+
+    The partner comes from one exact left-factorial walk, or from the factor
+    route per term when the range starts far out (module docstring).
+    """
     _check_range(family, n_from, n_to)
+    walk = _walk_for(family, n_from, n_to)
+    if walk is None:
+        residue = _factored_residue
+    else:
+        def residue(family, n, x):
+            return gcd_partner_residue(family, n, x, walk)
     for n in range(n_from, n_to + 1):
-        yield _term(family, n, gcd_partner_residue)
+        yield _term(family, n, residue)
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
@@ -323,12 +354,15 @@ class FactorialReplacementReport:
 
 
 def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> FactorialReplacementReport:
+    """The partner side walks t! and !t (the chain when n_from is far out);
+    the factorial side runs ``factorial_mod`` per n, an independent route."""
     _check_range(MAIN, n_from, n_to)
+    walk = _walk_for(MAIN, n_from, n_to)
     bad = []
     checked = 0
     for n in range(n_from, n_to + 1):
         x = numerator(MAIN, n)
-        d_partner = math.gcd(x, gcd_partner_residue(MAIN, n, x))
+        d_partner = math.gcd(x, gcd_partner_residue(MAIN, n, x, walk))
         d_fact = gcd_via_factorial(n, x)
         checked += 1
         if d_partner != d_fact:
@@ -349,24 +383,28 @@ class StrategyEquivalenceReport:
 
 
 def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
-    """Recompute every term both ways and compare records field for field.
+    """Recompute every term by each route and compare records field for field.
 
-    ``MODULAR_FAST`` takes the factor route here, so this checks that route
-    against exact b, not the chain that ``scan`` runs.
+    Each term's exact record is compared with ``term`` (``MODULAR_FAST``, the
+    factor route) and with the family's ``scan`` record (the walk). A
+    mismatch lists the exact and modular records, and the scanned one under
+    ``"scan"`` when that is the one that differs.
     """
     mismatches = []
     checked = 0
     for family in specs:
         _check_range(family, family.first_index, n_to)
-        for n in range(family.first_index, n_to + 1):
+        scanned = scan(family, family.first_index, n_to)
+        for n, walked in zip(range(family.first_index, n_to + 1), scanned):
             exact = term(family, n, Strategy.EXACT_BIGINT)
             fast = term(family, n, Strategy.MODULAR_FAST)
             checked += 1
-            if exact != fast:
-                mismatches.append(
-                    {"family": str(family), "n": n,
-                     "exact": exact.as_dict(), "modular": fast.as_dict()}
-                )
+            if exact != fast or exact != walked:
+                mismatch = {"family": str(family), "n": n,
+                            "exact": exact.as_dict(), "modular": fast.as_dict()}
+                if exact != walked:
+                    mismatch["scan"] = walked.as_dict()
+                mismatches.append(mismatch)
     return StrategyEquivalenceReport(
         tuple(str(f) for f in specs), n_to, checked, tuple(mismatches)
     )

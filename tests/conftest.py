@@ -11,7 +11,7 @@ from gcdseq.families import MAIN  # noqa: E402
 
 # Two reports over main to 2000, computed once per session and shared by
 # test_acceptance.py and test_conjectures.py; the reports are immutable. Each
-# costs one chain scan; symmetry adds one factor-route term per mirror index
+# costs one left-factorial walk; symmetry adds one factor-route term per mirror index
 # beyond the scan (up to about 4e6), well under a second in all.
 
 @pytest.fixture(scope="session")

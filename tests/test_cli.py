@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import gcdseq
+from gcdseq import families
 from gcdseq.cli import main
 
 from expected_terms import LINEAR_PREFIX, MAIN_PREFIX, QUAD_PREFIX, ROWLAND_DIFF_PREFIX
@@ -151,6 +152,32 @@ def test_gen_cache_detects_corruption(tmp_path, capsys, content, family, warning
     assert cache.read_text().splitlines() == [term_line.rstrip("\n")]
     code, again, err = run(capsys, *argv, "--cache", str(cache))
     assert code == 0 and again == clean and err == ""
+
+
+def test_gen_computes_missing_terms_by_one_scan(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    argv = ("gen", "--family", "main", "--format", "jsonl", "--cache", str(cache))
+    run(capsys, *argv, "--from", "10", "--to", "12")
+    _, clean, _ = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "20",
+                      "--format", "jsonl")
+    scans = []
+    real_scan = families.scan
+
+    def recording(family, n_from, n_to):
+        scans.append((n_from, n_to))
+        return real_scan(family, n_from, n_to)
+
+    def refuse(*args):
+        raise AssertionError("gen computed a term by itself")
+
+    monkeypatch.setattr(families, "scan", recording)
+    monkeypatch.setattr(families, "term", refuse)
+    code, out, err = run(capsys, *argv, "--from", "3", "--to", "20")
+    assert (code, out, err) == (0, clean, "")
+    assert scans == [(3, 20)]
+    code, out, err = run(capsys, *argv, "--from", "3", "--to", "20")
+    assert (code, out, err) == (0, clean, "")
+    assert scans == [(3, 20)]  # all cached: no scan
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdseq import _backend, families
@@ -391,7 +392,68 @@ def test_factor_route_above_two_to_the_64_takes_the_chain():
 @pytest.mark.parametrize("text", ["main", *(f"quad:{k}" for k in range(1, 6)),
                                   *(f"linear:{k}" for k in range(1, 6))])
 def test_scan_and_term_agree(text):
-    # scan takes the chain, term the factor route
+    # scan walks t! and !t, term takes the factor route
     family = FamilySpec.parse(text)
     assert list(scan(family, family.first_index, 600)) == [
         term(family, n) for n in range(family.first_index, 601)]
+
+
+# ---------------------------------------------------------------------------
+# scan: the left-factorial walk, or the factor route when it starts far out
+# ---------------------------------------------------------------------------
+
+SCAN_FAMILIES = ["main", "quad:2", "quad:3", "quad:4", "linear:1", "linear:2",
+                 "linear:5", "rowland"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SCAN_FAMILIES), st.integers(min_value=0, max_value=1600),
+       st.integers(min_value=0, max_value=300))
+@example("main", 0, 40)       # walks from the first index
+@example("linear:2", 0, 0)    # a single term at the first index walks
+@example("main", 1200, 5)     # far start: the factor route
+@example("quad:2", 100, 100)  # n_from - first_index = n_to - n_from: walks
+@example("quad:2", 100, 99)   # one more below n_from than n_to - n_from: factors
+def test_scan_matches_exact_records(family_text, offset, width):
+    # exact b is cached up to its index, so the ranges stay below 2000
+    family = FamilySpec.parse(family_text)
+    n_from = family.first_index + offset
+    n_to = n_from + width
+    assert list(scan(family, n_from, n_to)) == [
+        term(family, n, Strategy.EXACT_BIGINT) for n in range(n_from, n_to + 1)]
+
+
+def test_scan_walks_near_the_start_and_factors_far_out():
+    def refuse(*args):
+        raise AssertionError("took the other route")
+
+    with mock.patch.object(families, "factor", refuse):
+        assert len(list(scan(MAIN, 103, 203))) == 101  # n_from - 3 = n_to - n_from
+    with mock.patch.object(_backend, "LeftFactorials", refuse):
+        assert len(list(scan(MAIN, 104, 203))) == 100  # n_from - 3 > n_to - n_from
+    with mock.patch.object(_backend, "b_mod_pair", wraps=_backend.b_mod_pair) as spy:
+        list(scan(linear(3), 3, 6))
+    assert [c.args[0] for c in spy.call_args_list] == [1, 2, 3, 4]  # linear t = n - 2
+
+
+def test_strategy_equivalence_lists_a_scan_mismatch():
+    real = families.scan
+
+    def one_wrong(family, n_from, n_to):
+        for rec in real(family, n_from, n_to):
+            yield replace(rec, y_mod_x=rec.y_mod_x + 1) if rec.n == 7 else rec
+
+    with mock.patch.object(families, "scan", one_wrong):
+        report = verify_strategy_equivalence([MAIN], 12)
+    assert report.checked == 10 and not report.clean
+    [bad] = report.mismatches
+    assert (bad["n"], bad["exact"], bad["modular"]) == (7, term(MAIN, 7).as_dict(),
+                                                        term(MAIN, 7).as_dict())
+    assert bad["scan"]["y_mod_x"] == bad["exact"]["y_mod_x"] + 1
+
+
+def test_factorial_replacement_walks_its_partner_side():
+    with mock.patch.object(_backend, "LeftFactorials", wraps=_backend.LeftFactorials) as spy:
+        assert verify_factorial_replacement(3, 200).clean
+        assert verify_factorial_replacement(150, 160).clean  # far out: the chain
+    assert spy.call_count == 1

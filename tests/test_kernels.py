@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdseq import _backend
-from gcdseq.recurrences import b
+from gcdseq.recurrences import b, left_factorial
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -129,6 +129,52 @@ def test_factorial_mod_early_zero():
 def test_dispatcher_handles_huge_moduli():
     x = 2**70 + 3  # beyond the compiled kernels' domain
     assert _backend.b_mod_pair(12, x) == (b(11) % x, b(12) % x)
+
+
+def test_left_factorial_walk_against_exact_values():
+    walk = _backend.LeftFactorials()
+    for t in (0, 0, 1, 2, 3, 7, 8, 40, 41, 300):
+        assert walk.at(t) == (math.factorial(t), left_factorial(t)), t
+
+
+def test_left_factorial_walk_refuses_to_step_back():
+    walk = _backend.LeftFactorials()
+    walk.at(9)
+    with pytest.raises(ValueError, match="step back"):
+        walk.at(8)
+    assert walk.at(9) == (math.factorial(9), left_factorial(9))
+
+
+def _walked_and_chained(ts, x):
+    """(b_mod_pair with one walk over ascending ``ts``, b_mod_pair without)."""
+    walk = _backend.LeftFactorials()
+    return ([_backend.b_mod_pair(t, x, walk) for t in ts],
+            [_backend.b_mod_pair(t, x) for t in ts])
+
+
+_ASCENDING = st.lists(st.integers(min_value=0, max_value=1500), max_size=12).map(sorted)
+_MODULI = st.one_of(st.just(1), st.just(2), st.integers(min_value=1, max_value=2**63 - 1),
+                    st.integers(min_value=2**63, max_value=2**70))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ASCENDING, _MODULI)
+@example([0, 1, 2, 2, 5], 1)
+@example([0, 3, 1499], 2**70)
+def test_walk_matches_chain_pure_python(ts, x):
+    with mock.patch.object(_backend, "_ext", None):
+        walked, chained = _walked_and_chained(ts, x)
+    assert walked == chained
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ASCENDING, _MODULI)
+@example([0, 1, 2, 2, 5], 1)
+def test_walk_matches_chain_with_the_extension_loaded(ext, ts, x):
+    # the walk runs ahead of the compiled early return; the chain takes it
+    with mock.patch.object(_backend, "_ext", ext):
+        walked, chained = _walked_and_chained(ts, x)
+    assert walked == chained
 
 
 def test_dispatcher_routes_at_the_compiled_limit(ext, monkeypatch):
