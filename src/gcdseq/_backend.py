@@ -1,20 +1,29 @@
-"""Residue kernels: the exact left-factorial walk, and the modular chains.
+"""Residue kernels: the exact left-factorial walk, the factorial table, and
+the modular chains.
 
 A scan asks for consecutive t, so it keeps a ``LeftFactorials`` walk: the
 exact integers t! and !t, advanced by one multiply and one add per step, and
 ``b_mod_pair(t, x, walk)`` reduces them with one C-level ``%`` each. Without
-a walk, ``b_mod_pair`` and ``factorial_mod`` run an O(t) chain in residues:
-the compiled extension when it was built, pure Python otherwise.
+a walk, ``b_mod_pair`` runs an O(t) chain in residues: the compiled
+extension when it was built, pure Python otherwise.
+
+``factorial_mod(m, x)`` (single terms' factor route and ``gcd_via_factorial``)
+takes the compiled extension first when it was built. In pure Python, m below
+``_TABLE_LIMIT`` reads the exact (64*j)! from a table and reduces it with one
+C-level ``%``, then multiplies in at most 63 factors; larger m runs the chain.
 
 The extension is looked up once at import. Even when it loaded, arguments at
-or above 2**63 take the pure-Python loops below, which have no size limit on
+or above 2**63 take the pure-Python code below, which has no size limit on
 the modulus: plain Python integers throughout. The exact recurrences in
-``recurrences`` are the reference all three are tested against.
+``recurrences`` are the reference all of it is tested against.
 
-Both pure-Python loops reduce once per four factors: multiplying by a small
+Both pure-Python chains reduce once per four factors: multiplying by a small
 factor costs less than a ``%``. A plain loop takes the last one to three
 factors.
 """
+
+import math
+from functools import lru_cache
 
 try:
     from . import _kernel as _ext
@@ -22,6 +31,8 @@ except ImportError:
     _ext = None
 
 _EXT_LIMIT = 1 << 63
+_STRIDE = 64
+_TABLE_LIMIT = 4096  # factorial_mod reads the table below this m
 
 
 def backend_name():
@@ -91,15 +102,28 @@ def b_mod_pair(t, x, walk=None):
     return (t + 1) * s % m // 2, (t + 2) * (s + f) % m // 2
 
 
-def factorial_mod(m, x):
-    """Return ``m! mod x`` for m >= 0, x >= 1; short-circuits once 0.
+@lru_cache(maxsize=None)
+def _stride_factorial(j):
+    """The exact (64*j)!, for 0 <= j < 64: the table, filled on demand."""
+    if j == 0:
+        return 1
+    return _stride_factorial(j - 1) * math.prod(range(_STRIDE * (j - 1) + 1, _STRIDE * j + 1))
 
-    The zero check runs once per block of four factors, so a product that
-    reaches 0 mid-block is caught at the block's end; the result is 0
-    either way.
+
+def factorial_mod(m, x):
+    """Return ``m! mod x`` for m >= 0, x >= 1.
+
+    Below ``_TABLE_LIMIT`` the stored (64*j)!, j = m // 64, is reduced mod x
+    and the last m % 64 factors are multiplied in. From there on the chain
+    runs, and short-circuits once 0: the zero check runs once per block of
+    four factors, so a product that reaches 0 mid-block is caught at the
+    block's end; the result is 0 either way.
     """
     if _ext is not None and x < _EXT_LIMIT and m < _EXT_LIMIT:
         return _ext.factorial_mod(m, x)
+    if m < _TABLE_LIMIT:
+        j = m // _STRIDE
+        return _stride_factorial(j) % x * math.prod(range(_STRIDE * j + 1, m + 1)) % x
     r = 1 % x
     for j in range(1, m - 2, 4):
         r = r * j * (j + 1) * (j + 2) * (j + 3) % x

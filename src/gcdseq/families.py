@@ -50,7 +50,10 @@ Chinese remainder theorem from t! mod p^e for each p^e exactly dividing 2x:
 * else if e = 1 (then p > t), Wilson's (p-1)! = -1 (mod p) and
   (t+1)(t+2)...(p-1) = (-1)^k * k! (mod p), k = p-1-t, give
   t! = (-1)^(k+1) / k! (mod p), so the cheaper of t and k factors is run;
-* else the residue is t! mod p^e, run forward.
+* else the residue is t! mod p^e, from the table below 4096, else forward.
+
+Both k! and t! come from ``_backend.factorial_mod``; its pure-Python path
+reads an exact (64*j)! below 4096 and multiplies in at most 63 factors.
 
 This is exact while x < 2**64: ``primality.factor`` confirms each prime by
 Miller-Rabin over a base set that is deterministic below 2**64. For larger x,
@@ -333,7 +336,7 @@ def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
-    """gcd(x, (n-1)!) with the factorial built mod x, never materialized."""
+    """gcd(x, (n-1)!) with the factorial from ``_backend.factorial_mod``."""
     if n < 3:
         raise IndexBelowDomain(f"defined for n >= 3, got {n}")
     return math.gcd(x, _backend.factorial_mod(n - 1, x))

@@ -10,9 +10,10 @@ Three regimes:
   strong Lucas test with Selfridge parameters); reported as a probable
   prime, never as proven.
 
-``factor`` splits 1 <= v < 2**64 into primes exactly: every factor it
-returns either has no prime factor up to its square root, by trial
-division, or passed the Miller-Rabin test that is deterministic there.
+``factor`` splits 1 <= v < 2**64 into primes exactly. One gcd with the
+product of the primes below 1000 names the small prime factors; every other
+factor it returns is either below 1009**2, so has no prime factor up to its
+square root, or passed the Miller-Rabin test that is deterministic there.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import NonPositive
 _MR64_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_LIMIT = 10**6
 _U64 = 1 << 64
-_FACTOR_TRIAL_LIMIT = 1000  # factor() divides by every 6k +- 1 up to here
 _RHO_BATCH = 64  # rho steps per gcd
 
 
@@ -189,15 +189,9 @@ def is_prime(v: int) -> PrimalityVerdict:
     return PrimalityVerdict(v, verdict, Method.STRONG_PROBABLE)
 
 
-def _trial_divisors():
-    """2, 3, then every 6k +- 1: 5, 7, 11, 13, 17, 19, 23, 25, ..."""
-    yield 2
-    yield 3
-    f = 5
-    while True:
-        yield f
-        yield f + 2
-        f += 6
+_SMALL_PRIMES = [p for p in range(1000) if _trial_division(p)]
+_PRIMORIAL = math.prod(_SMALL_PRIMES)  # factor() takes these primes by one gcd
+_UNTRIED = 1009  # the least prime above _SMALL_PRIMES
 
 
 def _brent_rho(v):
@@ -237,32 +231,40 @@ def _brent_rho(v):
 def factor(v: int) -> dict[int, int]:
     """The prime factorisation of 1 <= v < 2**64 as {p: e}, p ascending.
 
-    Trial division by 2, 3 and every 6k +- 1 up to ``_FACTOR_TRIAL_LIMIT``
-    takes the small primes; a composite cofactor is split by ``_brent_rho``.
-    Each larger factor kept either is below the square of the first divisor
-    not tried, or passed the uncached ``_mr_is_prime``, which is
-    deterministic below 2**64; so the result is exact. ``is_prime`` and its
-    cache are never touched.
+    g = gcd(v, ``_PRIMORIAL``) is the product of the primes below 1000 that
+    divide v, each once; trial division of g up to its square root splits
+    it, and only those primes are divided out of v. The cofactor then has no
+    prime factor below ``_UNTRIED``, and a composite one is split by
+    ``_brent_rho``. Each larger factor kept either is below ``_UNTRIED``
+    squared or passed the uncached ``_mr_is_prime``, which is deterministic
+    below 2**64; so the result is exact. ``is_prime`` and its cache are never
+    touched.
     """
     if v < 1:
         raise NonPositive(f"factorisation undefined for {v} < 1")
     if v >= _U64:
         raise ValueError(f"factor() needs v < 2**64, got {v}")
-    found = {}
-    for f in _trial_divisors():
-        if f > _FACTOR_TRIAL_LIMIT or f * f > v:
+    g = math.gcd(v, _PRIMORIAL)
+    small = []
+    for p in _SMALL_PRIMES:
+        if p * p > g:
             break
-        if v % f == 0:
-            e = 0
-            while v % f == 0:
-                v //= f
-                e += 1
-            found[f] = e
-    # v has no prime factor below f now, so v < f*f means v is 1 or prime
+        if g % p == 0:
+            small.append(p)
+            g //= p
+    if g > 1:
+        small.append(g)  # no prime factor up to its square root: a prime
+    found = {}
+    for p in small:
+        e = 0
+        while v % p == 0:
+            v //= p
+            e += 1
+        found[p] = e
     pending = [v] if v > 1 else []
     while pending:
         v = pending.pop()
-        if v < f * f or _mr_is_prime(v):
+        if v < _UNTRIED * _UNTRIED or _mr_is_prime(v):
             found[v] = found.get(v, 0) + 1
         else:
             d = _brent_rho(v)

@@ -111,13 +111,17 @@ def test_pure_python_b_chain_every_tail(t, x):
 
 
 def test_pure_python_factorial_mod():
-    # blocks of four factors are 1..4, 5..8, 9..12; the product first reaches
-    # 0 at m = 5 (5!), 7 (7!), 8 (8!) and 10 (2**8): in the tail for small m,
-    # and at the first, a middle, the last and a middle factor of a block
+    # below 4096 m! comes from the table of (64*j)!: m on both sides of its
+    # stride boundaries. From 4096 on the chain runs in blocks of four factors
+    # 1..4, 5..8, 9..12, ..., and a tail of none to three (m = 4096..4100); its
+    # product first reaches 0 at factor 5 (x = 5!), 7 (7!), 8 (8!) and
+    # 10 (2**8): the first, a middle, the last and a middle factor of a block
     for x in (1, 2, 55, 97, 10**12 + 39, 2**70 + 3,
               math.factorial(5), math.factorial(7), math.factorial(8), 2**8):
-        for m in (*range(14), 25):
+        for m in (*range(14), 25, 63, 64, 65, 127, 128, 4095, 4096, 4097, 4098, 4099, 4100):
             assert pure(_backend.factorial_mod, m, x) == math.factorial(m) % x, (m, x)
+    # only (64*j)! for j < 64 is stored: the chain, not the table, served m >= 4096
+    assert _backend._stride_factorial.cache_info().currsize <= 4096 // 64
 
 
 def test_factorial_mod_early_zero():

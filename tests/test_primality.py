@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,12 +129,22 @@ def _assert_factorisation(v, found):
     assert product == v
 
 
+_PRIMES_TO_43 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
 def test_factor_examples():
     cases = {
         1: {},
         2: {2: 1},
         2**63: {2: 63},
+        3**40: {3: 40},
+        # across the primorial of the primes below 1000; 1009 is the next prime
+        997: {997: 1},
+        1009: {1009: 1},
+        997**2: {997: 2},
+        997 * 1009: {997: 1, 1009: 1},
         1009**2: {1009: 2},
+        math.prod(_PRIMES_TO_43) * 997: {**dict.fromkeys(_PRIMES_TO_43, 1), 997: 1},
         1009**3: {1009: 3},
         997**2 * 1009: {997: 2, 1009: 1},
         561: {3: 1, 11: 1, 17: 1},  # Carmichael numbers
