@@ -2,9 +2,10 @@
 sequences, their generalized families, and the finite continued-fraction
 identities they satisfy.
 
-Scans walk the exact t! and !t; the modular-chain kernels behind single
-terms and fallbacks live in an optional C extension with a pure-Python
-fallback selected at import; ``backend_name()`` tells which one is active.
+Scans walk t! and !t a block of 64 terms at a time; the modular-chain
+kernels behind single terms and fallbacks live in an optional C extension
+with a pure-Python fallback selected at import; ``backend_name()`` tells
+which one is active.
 """
 
 from ._backend import backend_name

@@ -1,11 +1,18 @@
-"""Residue kernels: the exact left-factorial walk, the factorial table, and
+"""Residue kernels: the blocked left-factorial walk, the factorial table, and
 the modular chains.
 
-A scan asks for consecutive t, so it keeps a ``LeftFactorials`` walk: the
-exact integers t! and !t, advanced by one multiply and one add per step, and
-``b_mod_pair(t, x, walk)`` reduces them with one C-level ``%`` each. Without
-a walk, ``b_mod_pair`` runs an O(t) chain in residues: the compiled
-extension when it was built, pure Python otherwise.
+A scan asks for consecutive t, so it keeps a ``LeftFactorials`` walk, built
+with the map t -> 2x of its terms. The walk holds the exact integers t! and
+!t only at block starts t = 64j, and advances them a whole block at a time
+with one product and one sum. At a block start it reduces that exact pair
+once mod M, the product of the block's moduli, and steps through the block
+mod M; since every 2x divides M, the residues mod 2x it hands out are
+exact. This is one level of the accumulating remainder tree of
+Costa-Gerbicz-Harvey (*A search for Wilson primes*, Math. Comp. 83, 2014):
+one bigint ``%`` per block of 64 terms instead of one per term.
+``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x from the walk. Without a
+walk, ``b_mod_pair`` runs an O(t) chain in residues: the compiled extension
+when it was built, pure Python otherwise.
 
 ``factorial_mod(m, x)`` (single terms' factor route and ``gcd_via_factorial``)
 takes the compiled extension first when it was built. In pure Python, m below
@@ -31,7 +38,7 @@ except ImportError:
     _ext = None
 
 _EXT_LIMIT = 1 << 63
-_STRIDE = 64
+_STRIDE = 64  # factors per table entry, and terms per block of a walk
 _TABLE_LIMIT = 4096  # factorial_mod reads the table below this m
 
 
@@ -39,27 +46,74 @@ def backend_name():
     return "pure-python" if _ext is None else "compiled"
 
 
-class LeftFactorials:
-    """An ascending walk over the exact pair (t!, !t), from t = 0.
+def _block_step(j):
+    """(P, Q) with (64j+64)! = (64j)! * P and !(64j+64) = !(64j) + (64j)! * Q.
 
-    !t = 0! + 1! + ... + (t-1)! is the left factorial, so !0 = 0 and
-    !(t+1) = !t + t!. Each step costs one bigint add and one multiply by a
-    small factor; asking for a smaller t than the last one is an error.
+    P is the product of 64j+1 .. 64j+64, and Q = sum over i < 64 of
+    (64j+1)...(64j+i), built by Horner's rule from the inside out.
+    """
+    lo = _STRIDE * j
+    q = 1
+    for k in range(lo + _STRIDE - 1, lo, -1):
+        q = q * k + 1
+    return math.prod(range(lo + 1, lo + _STRIDE + 1)), q
+
+
+class LeftFactorials:
+    """An ascending walk over (t! mod 2x, !t mod 2x) for the terms of a scan.
+
+    ``modulus(t)`` is the modulus 2x of the term with this t, for every t in
+    ``t_from..t_to``; !t = 0! + 1! + ... + (t-1)! is the left factorial, so
+    !0 = 0 and !(t+1) = !t + t!. The exact pair is kept at t = 64j only. The
+    first request in block j advances it there (one product and one sum per
+    block passed), reduces it mod M, the product of the block's moduli, and
+    steps F = F*(t+1) mod M, S += F through the block, keeping F and S mod
+    each 2x; later requests in the block are list lookups. Asking for a
+    smaller t than the last one, a t outside the range, or any modulus but
+    ``modulus(t)`` is an error, so a residue handed out is never wrong.
     """
 
-    def __init__(self):
-        self.t, self.fact, self.left = 0, 1, 0
+    def __init__(self, modulus, t_from, t_to):
+        self._modulus, self._t_from, self._t_to = modulus, t_from, t_to
+        self.t = t_from  # the last t asked for
+        self._start, self._fact, self._left = 0, 1, 0  # exact (t!, !t) at t = 64*_start
+        self._block, self._lo, self._moduli, self._pairs = -1, 0, (), ()
 
-    def at(self, t):
-        """Return ``(t!, !t)``, stepping forward from the last t asked for."""
+    def at(self, t, m):
+        """Return ``(t! mod m, !t mod m)``, where m must be ``modulus(t)``."""
         if t < self.t:
             raise ValueError(f"walk is at t={self.t}, cannot step back to t={t}")
-        f, s = self.fact, self.left
-        for j in range(self.t + 1, t + 1):
+        if t > self._t_to:
+            raise ValueError(f"walk ends at t={self._t_to}, cannot step to t={t}")
+        self.t = t
+        if t // _STRIDE != self._block:
+            self._fill(t // _STRIDE)
+        i = t - self._lo
+        if m != self._moduli[i]:
+            raise ValueError(f"the walk serves t={t} mod {self._moduli[i]}, not mod {m}")
+        return self._pairs[i]
+
+    def _fill(self, j):
+        """Advance the exact pair to t = 64j and list block j's residues."""
+        f, s = self._fact, self._left
+        for k in range(self._start, j):
+            p, q = _block_step(k)
+            f, s = f * p, s + f * q
+        self._start, self._fact, self._left = j, f, s
+        first = _STRIDE * j
+        lo, hi = max(first, self._t_from), min(first + _STRIDE - 1, self._t_to)
+        moduli = [self._modulus(t) for t in range(lo, hi + 1)]
+        big = math.prod(moduli)
+        f, s = f % big, s % big
+        for t in range(first, lo):
             s += f
-            f *= j
-        self.t, self.fact, self.left = t, f, s
-        return f, s
+            f = f * (t + 1) % big
+        pairs = []
+        for t, m in zip(range(lo, hi + 1), moduli):
+            pairs.append((f % m, s % m))
+            s += f
+            f = f * (t + 1) % big
+        self._block, self._lo, self._moduli, self._pairs = j, lo, moduli, pairs
 
 
 def b_mod_pair(t, x, walk=None):
@@ -78,14 +132,14 @@ def b_mod_pair(t, x, walk=None):
     same holds for (t+2) * (s + f). That covers every x >= 1, even x
     included, and t = 0 (s = 0, f = 1).
 
-    With a ``LeftFactorials`` walk, s and f are the exact !t and t! from the
-    walk, reduced mod 2x once each; the chain does not run.
+    With a ``LeftFactorials`` walk, s and f are !t and t! mod 2x from the
+    walk, which must have been built with 2x as the modulus of t; the chain
+    does not run.
     """
     if walk is not None:
-        f, s = walk.at(t)
         m = 2 * x
-        s %= m
-        return (t + 1) * s % m // 2, (t + 2) * (s + f % m) % m // 2
+        f, s = walk.at(t, m)
+        return (t + 1) * s % m // 2, (t + 2) * (s + f) % m // 2
     if _ext is not None and x < _EXT_LIMIT and t < _EXT_LIMIT:
         return _ext.b_mod_pair(t, x)
     m = 2 * x

@@ -37,6 +37,28 @@ odd, so p is odd.
   with n <= 21. Among those n, p^(v+1) <= x for 13 pairs (n, p), and
   p^(v+1) divides x for none of them (``test_conjectures`` derives the
   pairs from the inequality and checks each one).
+
+The pairing law and the multiplicity bound of ``verify_pair_identities``
+follow, and are proved too; the suite still computes them. First, for
+n >= 3 and a prime p, a(n) = p exactly when p divides x(n) and n < p. If
+a(n) = p, then p = P+(x) >= n, and p != n since n does not divide
+x(n) = n(n-1) - 1. Conversely, if p divides x and p > n, then
+x/p < n^2/n = n, so every prime factor of x/p is below n < p; hence
+P+(x) = p >= n and a(n) = p.
+
+Now x(n) is odd, so 2 never occurs. For odd p, 4x(n) = (2n-1)^2 - 5, so p
+divides x(n) iff (2n-1)^2 = 5 (mod p). For p = 5 that is n = 3 (mod 5),
+and n < 5 leaves n = 3 alone: 5 occurs once, at n = 3. For p != 5 a root
+exists iff 5 is a square mod p, which by quadratic reciprocity is
+p = +-1 (mod 5), that is, p ends in 1 or 9; then there are exactly two
+roots r, r' in 0..p-1, with r + r' = 1 (mod p), since n^2 - n - 1 has root
+sum 1. As x(0) = x(1) = -1 and x(2) = x(p-1) = 1 (mod p), neither root is
+0, 1, 2 or p-1, so both lie in [3, p-2]. Then 6 <= r + r' <= 2p - 4 forces
+r + r' = p + 1, and the indices n < p with p | x(n) are exactly r and
+p + 1 - r. So every prime p ending in 1 or 9 occurs exactly twice, at n and
+m = p + 1 - n, and p = n + m - 1; every other prime but 5 never occurs.
+(The smaller index is at most (p+1)/2, so each such p occurs by then;
+``CoverageReport.sound_bound`` still reports the weaker n_max + 1.)
 """
 
 from __future__ import annotations

@@ -28,12 +28,15 @@ The partner reaches a record by one of three routes, and all three must
 agree field for field:
 
 * exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
-* walk (``scan``): a scan visits t in ascending order, so it keeps the
-  exact t! and !t (``_backend.LeftFactorials``), advances them by one
-  multiply and one add per term and reduces them mod 2x, where
-  2*b(t-1) = (t+1)*!t and 2*b(t) = (t+2)*(!t + t!). A scan that starts far
-  out (more indices below its first than in its range) would spend most of
-  its time walking up to it, and takes the factor route per term instead;
+* walk (``scan``): a scan visits t in ascending order, so it keeps a
+  ``_backend.LeftFactorials`` walk built with the map t -> 2x of its terms.
+  The walk holds the exact t! and !t at every 64th t and reduces them once
+  per block of 64 terms, mod the product of the block's moduli 2x, so each
+  term reads t! and !t mod 2x, where 2*b(t-1) = (t+1)*!t and
+  2*b(t) = (t+2)*(!t + t!). A scan that starts far out (more indices below
+  its first than in its range) would spend most of its time walking up to
+  it, and takes the factor route per term instead; a Rowland scan has no
+  partner and builds no walk;
 * factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
   the prime factorisation of x, as follows.
 
@@ -224,9 +227,9 @@ def gcd_partner_residue(family: FamilySpec, n: int, x: int, walk=None) -> int:
     """The gcd partner reduced mod x, never materializing it.
 
     Without a ``walk`` the whole b-chain runs in residues mod 2x. With one
-    (``_backend.LeftFactorials``, at or below this term's t) b(t-1) and
-    b(t) mod x come from its exact t! and !t. Either way gcd(x, result)
-    equals gcd(x, partner).
+    (``_backend.LeftFactorials`` from ``_walk_for``, at or below this term's
+    t) b(t-1) and b(t) mod x come from its t! and !t mod 2x. Either way
+    gcd(x, result) equals gcd(x, partner).
     """
     _, t, c, e = _definition(family, n)
     b_prev, b_cur = _backend.b_mod_pair(t, x, walk)  # b(t-1), b(t)
@@ -311,18 +314,23 @@ def _walk_for(family: FamilySpec, n_from: int, n_to: int):
     """A fresh walk for an ascending run over n_from..n_to, or None.
 
     Walking up from t = 0 to the first term costs no more than the range it
-    serves only when n_from - first_index <= n_to - n_from.
+    serves only when n_from - first_index <= n_to - n_from. Rowland has no
+    partner, so it gets no walk.
     """
-    if n_from - family.first_index <= n_to - n_from:
-        return _backend.LeftFactorials()
-    return None
+    if family.kind is Kind.ROWLAND or n_from - family.first_index > n_to - n_from:
+        return None
+    shift = n_from - _definition(family, n_from)[1]  # n - t, the same for every n
+
+    def modulus(t):
+        return 2 * numerator(family, t + shift)
+    return _backend.LeftFactorials(modulus, n_from - shift, n_to - shift)
 
 
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
     """Yield records for n_from..n_to inclusive, in ascending n.
 
-    The partner comes from one exact left-factorial walk, or from the factor
-    route per term when the range starts far out (module docstring).
+    The partner comes from one blocked left-factorial walk, or from the
+    factor route per term when the range starts far out (module docstring).
     """
     _check_range(family, n_from, n_to)
     walk = _walk_for(family, n_from, n_to)

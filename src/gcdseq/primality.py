@@ -2,10 +2,17 @@
 
 Three regimes:
 
-* v < 10**6: trial division, cross-checked in-function against the
-  Miller-Rabin path (the two must agree; a mismatch raises).
-* v < 2**64: Miller-Rabin with the fixed 12-prime base set, which is
-  deterministic in this range.
+* v < 10**6: trial division by every prime below 1000, as one gcd with
+  their product (exact below 1009**2), cross-checked in-function against
+  the Miller-Rabin path (the two must agree; a mismatch raises).
+* v < 2**64: Miller-Rabin over the first k prime bases, with k the least
+  for which v is below psi_k, the least strong pseudoprime to all of them.
+  Every odd composite below psi_k fails one of those k bases, so the test
+  is deterministic in this range. psi_1..psi_4 are from Pomerance,
+  Selfridge and Wagstaff (Math. Comp. 35, 1980), psi_5..psi_8 from
+  Jaeschke (*On strong pseudoprimes to several bases*, Math. Comp. 61,
+  1993), and psi_9 = psi_10 = psi_11 from Jiang and Deng (Math. Comp. 83,
+  2014); psi_12 is above 2**64, so all 12 bases decide every v below it.
 * v >= 2**64: Baillie-PSW style combination (strong base-2 test plus a
   strong Lucas test with Selfridge parameters); reported as a probable
   prime, never as proven.
@@ -26,7 +33,16 @@ from functools import lru_cache
 from .errors import NonPositive
 
 _MR64_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_LIMIT = 10**6
+# (psi_k, k): below psi_k the first k prime bases decide (psi_8 = psi_7 and
+# psi_9 = psi_10 = psi_11); the 12 bases decide every v below 2**64
+_MR64_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+                (3825123056546413051, 9))
+_TRIAL_LIMIT = 10**6  # is_prime's trial division needs this <= _UNTRIED**2
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)  # one gcd with it tries every prime below 1000
+_UNTRIED = 1009  # the least prime above _SMALL_PRIMES
 _U64 = 1 << 64
 _RHO_BATCH = 64  # rho steps per gcd
 
@@ -56,16 +72,14 @@ class PrimalityVerdict:
 
 
 def _trial_division(v):
-    if v < 2:
-        return False
-    if v % 2 == 0:
-        return v == 2
-    f = 3
-    while f * f <= v:
-        if v % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether 1 <= v < ``_UNTRIED``**2 is prime, by the primes below 1000.
+
+    A composite v below 1009**2 has a prime factor up to its square root,
+    so below 1009, and the primes below 1009 are those below 1000.
+    """
+    if v < _UNTRIED:
+        return v in _SMALL_PRIME_SET
+    return math.gcd(v, _PRIMORIAL) == 1
 
 
 def _mr_round(v, base, d, r):
@@ -80,16 +94,22 @@ def _mr_round(v, base, d, r):
 
 
 def _mr_is_prime(v):
-    """Miller-Rabin over the fixed base set; deterministic for v < 2**64."""
+    """Miller-Rabin over the first k prime bases, k by ``_MR64_BOUNDS``;
+    deterministic for v < 2**64."""
     if v < 2:
         return False
     for p in _MR64_BASES:
         if v % p == 0:
             return v == p
+    bases = _MR64_BASES
+    for bound, k in _MR64_BOUNDS:
+        if v < bound:
+            bases = _MR64_BASES[:k]
+            break
     d = v - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    return all(_mr_round(v, base, d, r) for base in _MR64_BASES)
+    return all(_mr_round(v, base, d, r) for base in bases)
 
 
 def _jacobi(a, n):
@@ -187,11 +207,6 @@ def is_prime(v: int) -> PrimalityVerdict:
         return PrimalityVerdict(v, verdict, Method.DETERMINISTIC_MR64)
     verdict = Verdict.PROBABLE_PRIME if _bpsw_is_probable_prime(v) else Verdict.COMPOSITE
     return PrimalityVerdict(v, verdict, Method.STRONG_PROBABLE)
-
-
-_SMALL_PRIMES = [p for p in range(1000) if _trial_division(p)]
-_PRIMORIAL = math.prod(_SMALL_PRIMES)  # factor() takes these primes by one gcd
-_UNTRIED = 1009  # the least prime above _SMALL_PRIMES
 
 
 def _brent_rho(v):

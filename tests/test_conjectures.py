@@ -159,6 +159,22 @@ def test_pairs_additive_always_holds_to_2000(pairs_main_2000):
     assert report.missing_partner == ()
 
 
+def test_roots_of_the_main_numerator_mod_each_prime():
+    # the steps of the module docstring's pairing proof, for every p < 3000:
+    # the n in 0..p-1 with p | x(n) are none (p = 2 or p = +-2 mod 5), n = 3
+    # (p = 5), or two roots in [3, p-2] that sum to p + 1 (p = +-1 mod 5)
+    for p in range(2, 3000):
+        if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+            continue
+        roots = [n for n in range(p) if (n * n - n - 1) % p == 0]
+        if p == 5:
+            assert roots == [3]
+        elif p % 5 in (1, 4):
+            assert len(roots) == 2 and roots[0] >= 3 and sum(roots) == p + 1, p
+        else:
+            assert roots == [], p
+
+
 def test_pairs_gcd_counterexamples_are_exactly_the_known_ones(pairs_main_2000):
     # the gcd form of the pairing law fails when the two numerators share a
     # factor besides the prime itself; 19 | x(62) and 19 | x(138) is the

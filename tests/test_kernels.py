@@ -135,25 +135,51 @@ def test_dispatcher_handles_huge_moduli():
     assert _backend.b_mod_pair(12, x) == (b(11) % x, b(12) % x)
 
 
+def _above_both(t):
+    """A modulus for t above t! and !t, so the walk's residues are the exact values."""
+    return 2 * (math.factorial(t) + left_factorial(t))
+
+
 def test_left_factorial_walk_against_exact_values():
-    walk = _backend.LeftFactorials()
-    for t in (0, 0, 1, 2, 3, 7, 8, 40, 41, 300):
-        assert walk.at(t) == (math.factorial(t), left_factorial(t)), t
+    # 63/64, 127/128 and 255/256 are block edges
+    walk = _backend.LeftFactorials(_above_both, 0, 300)
+    for t in (0, 0, 1, 2, 3, 7, 8, 40, 41, 63, 64, 65, 127, 128, 256, 300):
+        assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
+
+
+def test_left_factorial_walk_starting_mid_block():
+    walk = _backend.LeftFactorials(_above_both, 100, 200)
+    for t in (100, 127, 128, 191, 192, 200):
+        assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
 
 
 def test_left_factorial_walk_refuses_to_step_back():
-    walk = _backend.LeftFactorials()
-    walk.at(9)
+    walk = _backend.LeftFactorials(_above_both, 0, 20)
+    walk.at(9, _above_both(9))
     with pytest.raises(ValueError, match="step back"):
-        walk.at(8)
-    assert walk.at(9) == (math.factorial(9), left_factorial(9))
+        walk.at(8, _above_both(8))
+    assert walk.at(9, _above_both(9)) == (math.factorial(9), left_factorial(9))
 
 
-def _walked_and_chained(ts, x):
-    """(b_mod_pair with one walk over ascending ``ts``, b_mod_pair without)."""
-    walk = _backend.LeftFactorials()
-    return ([_backend.b_mod_pair(t, x, walk) for t in ts],
-            [_backend.b_mod_pair(t, x) for t in ts])
+def test_left_factorial_walk_refuses_another_modulus_or_range():
+    # never a residue mod anything but the modulus the walk was built with
+    walk = _backend.LeftFactorials(lambda t: 2 * (t * t + t + 1), 5, 70)
+    for t, m in ((5, 2 * 31 + 2), (5, 2 * 31 * 3), (64, 2 * 31), (65, 2 * 4291 // 2)):
+        with pytest.raises(ValueError, match="not mod"):
+            walk.at(t, m)
+    with pytest.raises(ValueError, match="ends at"):
+        walk.at(71, 2 * (71 * 71 + 71 + 1))
+    assert walk.at(70, 2 * 4971) == (math.factorial(70) % 9942, left_factorial(70) % 9942)
+    with pytest.raises(ValueError, match="not mod"):
+        _backend.b_mod_pair(70, 4970, walk)
+
+
+def _walked_and_chained(ts, x_of):
+    """(b_mod_pair with one walk over ascending ``ts``, b_mod_pair without),
+    the modulus of t being 2 * x_of(t)."""
+    walk = _backend.LeftFactorials(lambda t: 2 * x_of(t), ts[0] if ts else 0, ts[-1] if ts else 0)
+    return ([_backend.b_mod_pair(t, x_of(t), walk) for t in ts],
+            [_backend.b_mod_pair(t, x_of(t)) for t in ts])
 
 
 _ASCENDING = st.lists(st.integers(min_value=0, max_value=1500), max_size=12).map(sorted)
@@ -164,20 +190,34 @@ _MODULI = st.one_of(st.just(1), st.just(2), st.integers(min_value=1, max_value=2
 @settings(max_examples=100, deadline=None)
 @given(_ASCENDING, _MODULI)
 @example([0, 1, 2, 2, 5], 1)
+@example([0, 63, 64, 65, 127, 128, 1499], 7)
 @example([0, 3, 1499], 2**70)
 def test_walk_matches_chain_pure_python(ts, x):
     with mock.patch.object(_backend, "_ext", None):
-        walked, chained = _walked_and_chained(ts, x)
+        walked, chained = _walked_and_chained(ts, lambda t: x)
     assert walked == chained
 
 
 @settings(max_examples=100, deadline=None)
 @given(_ASCENDING, _MODULI)
 @example([0, 1, 2, 2, 5], 1)
+@example([0, 63, 64, 65, 127, 128, 1499], 2**63 - 1)
 def test_walk_matches_chain_with_the_extension_loaded(ext, ts, x):
     # the walk runs ahead of the compiled early return; the chain takes it
     with mock.patch.object(_backend, "_ext", ext):
-        walked, chained = _walked_and_chained(ts, x)
+        walked, chained = _walked_and_chained(ts, lambda t: x)
+    assert walked == chained
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ASCENDING, st.lists(_MODULI, min_size=1, max_size=70))
+@example([0, 1, 2, 2, 5], [1, 2, 3])
+@example([0, 63, 64, 65, 127, 128, 1499], [2, 1, 2**70 + 1, 55])
+@example([70, 130], [2**64 + 13, 10**9 + 7])
+def test_walk_with_a_modulus_per_term_matches_chain(ts, xs):
+    # a scan's moduli differ term by term; a block reduces mod their product
+    with mock.patch.object(_backend, "_ext", None):
+        walked, chained = _walked_and_chained(ts, lambda t: xs[t % len(xs)])
     assert walked == chained
 
 

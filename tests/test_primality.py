@@ -6,10 +6,16 @@ from hypothesis import strategies as st
 
 from gcdseq.errors import NonPositive
 from gcdseq.primality import (
+    _MR64_BASES,
+    _MR64_BOUNDS,
+    _TRIAL_LIMIT,
+    _UNTRIED,
     Method,
     Verdict,
     _bpsw_is_probable_prime,
     _mr_is_prime,
+    _mr_round,
+    _trial_division,
     factor,
     is_prime,
 )
@@ -51,12 +57,39 @@ def test_method_selection_by_size():
     assert is_prime(2**64 + 13).method is Method.STRONG_PROBABLE
 
 
-def test_exhaustive_agreement_below_one_million():
-    # the Miller-Rabin path against a sieve, every value
-    limit = 10**6
+def _first_disagreement(got, flags):
+    return next(v for v in range(len(flags)) if got[v] != flags[v])
+
+
+def test_exhaustive_agreement_below_psi_2():
+    # the Miller-Rabin path against a sieve, on every value that its one- and
+    # two-base rows serve
+    limit = _MR64_BOUNDS[1][0]
+    assert limit == 1373653
     flags = _sieve(limit)
-    for v in range(2, limit):
-        assert _mr_is_prime(v) == bool(flags[v]), v
+    got = bytes(map(_mr_is_prime, range(limit)))
+    assert got == flags, _first_disagreement(got, flags)
+
+
+def test_trial_division_exhaustive():
+    # a composite below _UNTRIED**2 has a prime factor below _UNTRIED, so the
+    # gcd with the primes below 1000 decides every value is_prime gives it
+    assert _TRIAL_LIMIT <= _UNTRIED**2
+    flags = _sieve(_TRIAL_LIMIT)
+    got = bytes([0]) + bytes(map(_trial_division, range(1, _TRIAL_LIMIT)))
+    assert got == flags, _first_disagreement(got, flags)
+
+
+@pytest.mark.parametrize("psi, k", _MR64_BOUNDS)
+def test_each_psi_k_needs_the_next_base(psi, k):
+    # psi_k is a strong pseudoprime to each of the first k prime bases, the
+    # whole set _mr_is_prime uses below it; at psi_k it takes more bases
+    d = psi - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    assert all(_mr_round(psi, base, d, r) for base in _MR64_BASES[:k])
+    assert not _mr_is_prime(psi)
+    assert is_prime(psi).verdict is Verdict.COMPOSITE
 
 
 def test_known_miller_rabin_stress_values():
