@@ -2,10 +2,9 @@
 sequences, their generalized families, and the finite continued-fraction
 identities they satisfy.
 
-Scans walk t! and !t a block of 64 terms at a time; the modular-chain
-kernels behind single terms and fallbacks live in an optional C extension
-with a pure-Python fallback selected at import; ``backend_name()`` tells
-which one is active.
+Scans walk t! and !t a block of 64 terms at a time, and single terms build
+t! mod 2x from the factors of x. Everything runs in pure Python;
+``backend_name()`` says so, for the stamps of benchmark results.
 """
 
 from ._backend import backend_name

@@ -1,5 +1,4 @@
-"""Residue kernels: the blocked left-factorial walk, the factorial table, and
-the modular chains.
+"""Residue kernels: the blocked left-factorial walk and the factorial table.
 
 A scan asks for consecutive t, so it keeps a ``LeftFactorials`` walk, built
 with the map t -> 2x of its terms. The walk holds the exact integers t! and
@@ -10,40 +9,29 @@ mod M; since every 2x divides M, the residues mod 2x it hands out are
 exact. This is one level of the accumulating remainder tree of
 Costa-Gerbicz-Harvey (*A search for Wilson primes*, Math. Comp. 83, 2014):
 one bigint ``%`` per block of 64 terms instead of one per term.
-``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x from the walk. Without a
-walk, ``b_mod_pair`` runs an O(t) chain in residues: the compiled extension
-when it was built, pure Python otherwise.
+``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x from the walk.
 
 ``factorial_mod(m, x)`` (single terms' factor route and ``gcd_via_factorial``)
-takes the compiled extension first when it was built. In pure Python, m below
-``_TABLE_LIMIT`` reads the exact (64*j)! from a table and reduces it with one
-C-level ``%``, then multiplies in at most 63 factors; larger m runs the chain.
-
-The extension is looked up once at import. Even when it loaded, arguments at
-or above 2**63 take the pure-Python code below, which has no size limit on
-the modulus: plain Python integers throughout. The exact recurrences in
-``recurrences`` are the reference all of it is tested against.
-
-Both pure-Python chains reduce once per four factors: multiplying by a small
-factor costs less than a ``%``. A plain loop takes the last one to three
+reads the exact (64*j)! from a table below ``_TABLE_LIMIT`` and reduces it
+with one bigint ``%``, then multiplies in at most 63 factors; larger m runs
+a chain that reduces once per four factors, since multiplying by a small
+factor costs less than a ``%``, and a plain loop takes the last one to three
 factors.
+
+Everything here is plain Python integers, with no size limit on t, m or the
+modulus. The exact recurrences in ``recurrences`` are the reference it is
+tested against.
 """
 
 import math
 from functools import lru_cache
 
-try:
-    from . import _kernel as _ext
-except ImportError:
-    _ext = None
-
-_EXT_LIMIT = 1 << 63
 _STRIDE = 64  # factors per table entry, and terms per block of a walk
 _TABLE_LIMIT = 4096  # factorial_mod reads the table below this m
 
 
 def backend_name():
-    return "pure-python" if _ext is None else "compiled"
+    return "pure-python"
 
 
 def _block_step(j):
@@ -116,43 +104,20 @@ class LeftFactorials:
         self._block, self._lo, self._moduli, self._pairs = j, lo, moduli, pairs
 
 
-def b_mod_pair(t, x, walk=None):
-    """Return ``(b(t-1) mod x, b(t) mod x)`` for t >= 0, x >= 1.
+def b_mod_pair(t, x, walk):
+    """Return ``(b(t-1) mod x, b(t) mod x)`` for t >= 0, x >= 1, read from ``walk``.
 
     Uses the left-factorial identity b(n) = (n+2) * !(n+1) / 2, where
     !n = 0! + 1! + ... + (n-1)! (see ``recurrences.b_via_left_factorial``):
     b(t-1) = (t+1) * !t / 2 and b(t) = (t+2) * !(t+1) / 2 with
-    !(t+1) = !t + t!.
-
-    One first-order chain runs mod m = 2x: ``f`` holds k! mod m and ``s``
-    adds up the f values and the partial products of each block. ``s`` is
-    never reduced (it stays below m * t**4), so s = !t (mod m) and
-    f = t! (mod m) at the end. Since (t+1) * !t = 2 * b(t-1) exactly,
-    (t+1) * s mod 2x = 2 * (b(t-1) mod x), and halving it is exact; the
-    same holds for (t+2) * (s + f). That covers every x >= 1, even x
-    included, and t = 0 (s = 0, f = 1).
-
-    With a ``LeftFactorials`` walk, s and f are !t and t! mod 2x from the
-    walk, which must have been built with 2x as the modulus of t; the chain
-    does not run.
+    !(t+1) = !t + t!. The ``LeftFactorials`` walk, which must have been
+    built with 2x as the modulus of t, gives s = !t and f = t! mod m = 2x.
+    Since (t+1) * !t = 2 * b(t-1) exactly, (t+1) * s mod 2x = 2 * (b(t-1)
+    mod x), and halving it is exact; the same holds for (t+2) * (s + f).
+    That covers every x >= 1, even x included, and t = 0 (s = 0, f = 1).
     """
-    if walk is not None:
-        m = 2 * x
-        f, s = walk.at(t, m)
-        return (t + 1) * s % m // 2, (t + 2) * (s + f) % m // 2
-    if _ext is not None and x < _EXT_LIMIT and t < _EXT_LIMIT:
-        return _ext.b_mod_pair(t, x)
     m = 2 * x
-    f, s = 1, 0
-    for j in range(1, t - 2, 4):
-        g1 = f * j
-        g2 = g1 * (j + 1)
-        g3 = g2 * (j + 2)
-        s += f + g1 + g2 + g3
-        f = g3 * (j + 3) % m
-    for j in range(t - t % 4 + 1, t + 1):
-        s += f
-        f = f * j % m
+    f, s = walk.at(t, m)
     return (t + 1) * s % m // 2, (t + 2) * (s + f) % m // 2
 
 
@@ -173,8 +138,6 @@ def factorial_mod(m, x):
     four factors, so a product that reaches 0 mid-block is caught at the
     block's end; the result is 0 either way.
     """
-    if _ext is not None and x < _EXT_LIMIT and m < _EXT_LIMIT:
-        return _ext.factorial_mod(m, x)
     if m < _TABLE_LIMIT:
         j = m // _STRIDE
         return _stride_factorial(j) % x * math.prod(range(_STRIDE * j + 1, m + 1)) % x

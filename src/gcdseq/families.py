@@ -40,9 +40,8 @@ agree field for field:
 * factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
   the prime factorisation of x, as follows.
 
-The b-chain, the pair (b(t-1), b(t)) mod x run entirely in residues in O(t)
-steps, remains only as a fallback: for t < 2 and x >= 2**64 in the factor
-route, and for ``verify_factorial_replacement`` from a far start.
+For t < 2 the identity needs no factorial: !t = t and t! = 1, so
+2*partner = x*t + c*(t+2) exactly.
 
 For t >= 2 the left factorial !t = 0! + 1! + (2! + ... + (t-1)!) is
 2 plus a sum of even numbers, so x*!t = 0 (mod 2x) and the identity gives
@@ -55,12 +54,13 @@ Chinese remainder theorem from t! mod p^e for each p^e exactly dividing 2x:
   t! = (-1)^(k+1) / k! (mod p), so the cheaper of t and k factors is run;
 * else the residue is t! mod p^e, from the table below 4096, else forward.
 
-Both k! and t! come from ``_backend.factorial_mod``; its pure-Python path
-reads an exact (64*j)! below 4096 and multiplies in at most 63 factors.
+Both k! and t! come from ``_backend.factorial_mod``, which reads an exact
+(64*j)! below 4096 and multiplies in at most 63 factors.
 
 This is exact while x < 2**64: ``primality.factor`` confirms each prime by
-Miller-Rabin over a base set that is deterministic below 2**64. For larger x,
-and for t < 2, the factor route falls back to the chain.
+Miller-Rabin over a base set that is deterministic below 2**64. For larger x
+the factor route takes F = ``factorial_mod(t, 2x)`` directly, without
+factoring.
 
 The Rowland sequence is carried as a degenerate family whose "terms" are its
 first differences.
@@ -223,19 +223,6 @@ def gcd_partner(family: FamilySpec, n: int) -> int:
     return c * b(t) + e * b(t - 1)
 
 
-def gcd_partner_residue(family: FamilySpec, n: int, x: int, walk=None) -> int:
-    """The gcd partner reduced mod x, never materializing it.
-
-    Without a ``walk`` the whole b-chain runs in residues mod 2x. With one
-    (``_backend.LeftFactorials`` from ``_walk_for``, at or below this term's
-    t) b(t-1) and b(t) mod x come from its t! and !t mod 2x. Either way
-    gcd(x, result) equals gcd(x, partner).
-    """
-    _, t, c, e = _definition(family, n)
-    b_prev, b_cur = _backend.b_mod_pair(t, x, walk)  # b(t-1), b(t)
-    return (c * b_cur + e * b_prev) % x
-
-
 def _classify(a: int) -> Classification:
     if a == 1:
         return Classification.ONE
@@ -267,36 +254,45 @@ def _factorial_mod_prime_power(t: int, p: int, e: int) -> int:
     return _backend.factorial_mod(t, p**e)
 
 
-def _factored_residue(family: FamilySpec, n: int, x: int) -> int:
-    """The gcd partner mod x from the factors of 2x (module docstring)."""
-    _, t, c, _ = _definition(family, n)
-    if t < 2 or x >= _FACTOR_LIMIT:
-        return gcd_partner_residue(family, n, x)
+def _partner_residue(x: int, t: int, c: int, e: int, walk=None) -> int:
+    """The gcd partner c*b(t) + e*b(t-1) mod its numerator x, never materialized.
+
+    With a ``walk`` (``_backend.LeftFactorials`` from ``_walk_for``, at or
+    below this t) b(t-1) and b(t) mod x come from its t! and !t mod 2x.
+    Without one the factor route gives t! mod 2x (module docstring).
+    """
+    if walk is not None:
+        b_prev, b_cur = _backend.b_mod_pair(t, x, walk)  # b(t-1), b(t)
+        return (c * b_cur + e * b_prev) % x
+    if t < 2:  # !t = t and t! = 1
+        return (x * t + c * (t + 2)) // 2 % x
     m = 2 * x
+    if x >= _FACTOR_LIMIT:
+        return c * (t + 2) * _backend.factorial_mod(t, m) % m // 2
     powers = factor(x)
     powers[2] = powers.get(2, 0) + 1
     f = 0
-    for p, e in powers.items():
-        r = _factorial_mod_prime_power(t, p, e)
+    for p, k in powers.items():
+        r = _factorial_mod_prime_power(t, p, k)
         if r:
-            q = p**e
+            q = p**k
             rest = m // q
             f += r * rest * pow(rest, -1, q)
     return c * (t + 2) * f % m // 2
 
 
-def _exact_residue(family: FamilySpec, n: int, x: int) -> int:
-    return gcd_partner(family, n) % x
-
-
-def _term(family: FamilySpec, n: int, residue) -> TermRecord:
-    """The record of term n, with the partner mod x from ``residue(family, n, x)``."""
+def _term(family: FamilySpec, n: int, strategy: Strategy, walk=None) -> TermRecord:
+    """The record of term n, with the partner mod x by ``strategy`` (and ``walk``)."""
     if family.kind is Kind.ROWLAND:
         _check_index(family, n)
         diff = rowland_diff(n)
         return TermRecord(family, n, diff, 0, 1, diff, _classify(diff))
-    x = numerator(family, n)
-    return _record(family, n, x, residue(family, n, x))
+    x, t, c, e = _definition(family, n)
+    if strategy is Strategy.EXACT_BIGINT:
+        y_mod_x = gcd_partner(family, n) % x
+    else:
+        y_mod_x = _partner_residue(x, t, c, e, walk)
+    return _record(family, n, x, y_mod_x)
 
 
 def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST) -> TermRecord:
@@ -305,9 +301,7 @@ def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST)
     ``MODULAR_FAST`` takes the factor route, so a single term far out costs
     a factorisation of x, not an O(n) chain or a walk up from t = 0.
     """
-    if strategy is Strategy.EXACT_BIGINT:
-        return _term(family, n, _exact_residue)
-    return _term(family, n, _factored_residue)
+    return _term(family, n, strategy)
 
 
 def _walk_for(family: FamilySpec, n_from: int, n_to: int):
@@ -334,13 +328,8 @@ def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
     """
     _check_range(family, n_from, n_to)
     walk = _walk_for(family, n_from, n_to)
-    if walk is None:
-        residue = _factored_residue
-    else:
-        def residue(family, n, x):
-            return gcd_partner_residue(family, n, x, walk)
     for n in range(n_from, n_to + 1):
-        yield _term(family, n, residue)
+        yield _term(family, n, Strategy.MODULAR_FAST, walk)
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
@@ -365,15 +354,16 @@ class FactorialReplacementReport:
 
 
 def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> FactorialReplacementReport:
-    """The partner side walks t! and !t (the chain when n_from is far out);
-    the factorial side runs ``factorial_mod`` per n, an independent route."""
+    """The partner side walks t! and !t, or takes the factor route per n when
+    n_from is far out, as ``scan`` does; the factorial side runs
+    ``factorial_mod`` per n, an independent route."""
     _check_range(MAIN, n_from, n_to)
     walk = _walk_for(MAIN, n_from, n_to)
     bad = []
     checked = 0
     for n in range(n_from, n_to + 1):
-        x = numerator(MAIN, n)
-        d_partner = math.gcd(x, gcd_partner_residue(MAIN, n, x, walk))
+        x, t, c, e = _definition(MAIN, n)
+        d_partner = math.gcd(x, _partner_residue(x, t, c, e, walk))
         d_fact = gcd_via_factorial(n, x)
         checked += 1
         if d_partner != d_fact:

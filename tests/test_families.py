@@ -16,7 +16,6 @@ from gcdseq.families import (
     Kind,
     Strategy,
     gcd_partner,
-    gcd_partner_residue,
     gcd_via_factorial,
     linear,
     numerator,
@@ -30,6 +29,7 @@ from gcdseq.primality import factor
 from gcdseq.recurrences import b, left_factorial
 
 from expected_terms import LINEAR_PREFIX, MAIN_PREFIX, QUAD_PREFIX, ROWLAND_DIFF_PREFIX
+from reference_chain import second_order_chain
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +92,19 @@ def test_gcd_partner_exact_values():
     [(MAIN, 8, 55, 35), (MAIN, 3, 5, 1), (linear(1), 5, 9, 6)],
 )
 def test_gcd_partner_residue_examples(family, n, x, expected):
-    assert gcd_partner_residue(family, n, x) == expected
+    # the factor route (term) and the walk (scan from the first index)
+    assert numerator(family, n) == x
+    assert term(family, n).y_mod_x == expected
+    assert list(scan(family, 3, n))[-1].y_mod_x == expected
 
 
 def test_residue_matches_exact_partner():
     for family in (MAIN, quadratic(1), quadratic(2), quadratic(3),
                    linear(1), linear(2), linear(4)):
-        for n in range(family.first_index, 120):
-            x = numerator(family, n)
-            assert gcd_partner_residue(family, n, x) == gcd_partner(family, n) % x
+        walked = scan(family, family.first_index, 119)
+        for n, rec in zip(range(family.first_index, 120), walked, strict=True):
+            exact = gcd_partner(family, n) % numerator(family, n)
+            assert term(family, n).y_mod_x == rec.y_mod_x == exact, (str(family), n)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +299,11 @@ ROUTE_FAMILIES = (["main"] + [f"quad:{k}" for k in range(1, 7)]
 
 
 def chain_term(family, n):
-    x = numerator(family, n)
-    return families._record(family, n, x, gcd_partner_residue(family, n, x))
+    """The record of term n with the partner from the paper's second-order
+    recurrence mod x, which shares no code with the walk or the factor route."""
+    x, t, c, e = families._definition(family, n)
+    b_prev, b_cur = second_order_chain(t, x)
+    return families._record(family, n, x, (c * b_cur + e * b_prev) % x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,14 +331,18 @@ def factorial_calls(family, n):
 
 
 def test_factor_route_skips_t_below_two():
-    # t = n - 3 for main and t = n - 2 for linear: t is 0 or 1 here
-    def no_factoring(v):
-        raise AssertionError("factored x for t < 2")
+    # t = n - 3 for main and t = n - 2 for linear: t is 0 or 1 here, and the
+    # identity with !t = t and t! = 1 needs no factoring, exact b or walk
+    def refuse(*args):
+        raise AssertionError("t < 2 took another route")
 
-    with mock.patch.object(families, "factor", no_factoring):
-        for family, n in ((MAIN, 3), (MAIN, 4), (linear(1), 3), (linear(6), 3)):
-            assert term(family, n) == chain_term(family, n)
-            assert term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
+    cases = ((MAIN, 3), (MAIN, 4), (quadratic(5), 4), (linear(1), 3), (linear(6), 3))
+    exact = [term(family, n, Strategy.EXACT_BIGINT) for family, n in cases]
+    with (mock.patch.object(families, "factor", refuse),
+          mock.patch.object(families, "gcd_partner", refuse),
+          mock.patch.object(_backend, "LeftFactorials", refuse)):
+        fast = [term(family, n) for family, n in cases]
+    assert fast == exact == [chain_term(family, n) for family, n in cases]
 
 
 def test_factor_route_wilson_branch():
@@ -371,16 +382,19 @@ def test_factor_route_prime_power_branch():
     assert found
 
 
-def test_factor_route_above_two_to_the_64_takes_the_chain():
+def test_factor_route_above_two_to_the_64_takes_one_factorial():
+    # x >= 2**64: y_mod_x = c*(t+2)*(t! mod 2x) mod 2x / 2, without factoring
     def no_factoring(v):
         raise AssertionError("factored x >= 2**64")
 
     with mock.patch.object(families, "factor", no_factoring):
-        for family, n in ((linear(2**64), 4), (quadratic(2**63), 6)):
-            x = numerator(family, n)
+        for family, n in ((linear(2**64), 4), (quadratic(2**63), 6),
+                          (quadratic(2**70 + 5), 40)):
+            x, t, _, _ = families._definition(family, n)
             assert x >= 2**64
-            assert term(family, n) == chain_term(family, n)
-            assert term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
+            rec, calls = factorial_calls(family, n)
+            assert calls == [(t, 2 * x)]
+            assert rec == chain_term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
     family = linear((2**64 - 5) // 3)  # x = 3k + 4 just below 2**64, t = 2
     x = numerator(family, 4)
     assert x < 2**64
@@ -455,5 +469,7 @@ def test_strategy_equivalence_lists_a_scan_mismatch():
 def test_factorial_replacement_walks_its_partner_side():
     with mock.patch.object(_backend, "LeftFactorials", wraps=_backend.LeftFactorials) as spy:
         assert verify_factorial_replacement(3, 200).clean
-        assert verify_factorial_replacement(150, 160).clean  # far out: the chain
+        # far out: the factor route per n, no walk
+        assert verify_factorial_replacement(150, 160).clean
+        assert verify_factorial_replacement(5000, 5010).clean
     assert spy.call_count == 1
