@@ -105,29 +105,15 @@ def _read_cache_line(line):
     return rec
 
 
-def _cache_entry_ok(family, n, rec):
-    """Whether a well-formed cached term dict is consistent with ``term(family, n)``.
-
-    Rowland terms are cheap and compared whole. The others must hold a
-    reduced residue and equal the record rebuilt from it, since recomputing
-    the residue is the cost the cache saves.
-    """
-    if family.kind is families.Kind.ROWLAND:
-        return rec == families.term(family, n).as_dict()
-    x = families.numerator(family, n)
-    y_mod_x = rec["y_mod_x"]
-    return 0 <= y_mod_x < x and rec == families._record(family, n, x, y_mod_x).as_dict()
-
-
 def _cached_records(family, n_from, n_to, cache_path):
     """Term dicts for the range, read from and written back to the cache.
 
-    The missing terms come from one ``scan`` over the first to the last of
-    them. A malformed line, or a cached entry that fails ``_cache_entry_ok``,
-    gets one warning on stderr and is dropped, and its term is recomputed. A run
-    that computes a term or drops a line rewrites the whole file (valid
-    entries in file order, then fresh ones) through a temporary file and
-    ``os.replace``; a run served wholly from a clean cache writes nothing.
+    Every term comes from one ``scan`` of the range. A cached entry equal to
+    the scanned record is kept as read; any other entry for the range, and
+    any malformed line, gets one warning on stderr and is dropped. A run that
+    adds a term or drops a line rewrites the whole file (valid entries in
+    file order, then fresh ones) through a temporary file and ``os.replace``;
+    a run served wholly from a clean cache writes nothing.
     """
     key = str(family)
     cached = {}
@@ -144,24 +130,20 @@ def _cached_records(family, n_from, n_to, cache_path):
                     dropped = True
                     continue
                 cached[(rec["family"], rec["n"])] = rec
-    missing = []
-    for n in range(n_from, n_to + 1):
-        rec = cached.get((key, n))
-        if rec is not None:
-            if _cache_entry_ok(family, n, rec):
-                continue
-            print(f"warning: invalid cache entry for {key} n={n}; recomputed",
-                  file=sys.stderr)
-            del cached[(key, n)]
-        missing.append(n)
+    records = []
     fresh = []
-    if missing:
-        wanted = set(missing)
-        fresh = [rec.as_dict() for rec in families.scan(family, missing[0], missing[-1])
-                 if rec.n in wanted]
-    computed = {rec["n"]: rec for rec in fresh}
-    records = [computed[n] if n in computed else cached[(key, n)]
-               for n in range(n_from, n_to + 1)]
+    for scanned in families.scan(family, n_from, n_to):
+        rec = scanned.as_dict()
+        hit = cached.get((key, scanned.n))
+        if hit == rec:
+            rec = hit
+        else:
+            if hit is not None:
+                print(f"warning: invalid cache entry for {key} n={scanned.n}; recomputed",
+                      file=sys.stderr)
+                del cached[(key, scanned.n)]
+            fresh.append(rec)
+        records.append(rec)
     if cache_path and (fresh or dropped):
         tmp = f"{cache_path}.{os.getpid()}.tmp"
         try:
@@ -169,6 +151,9 @@ def _cached_records(family, n_from, n_to, cache_path):
                 for rec in [*cached.values(), *fresh]:
                     fh.write(json.dumps(rec) + "\n")
             os.replace(tmp, cache_path)
+        except OSError as exc:
+            # name the path the user gave, not the temporary file beside it
+            raise OSError(exc.errno, exc.strerror, cache_path) from None
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -488,8 +473,8 @@ def build_parser():
                        help="b-file index = n + offset, default 0 (bfile only)")
     p_gen.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_gen.add_argument("--cache", default=None,
-                       help="JSONL term cache (opt-in), rewritten whole "
-                            "when a run adds or repairs an entry")
+                       help="JSONL term cache (opt-in), checked against the scan, "
+                            "rewritten whole when a run adds or repairs an entry")
     p_gen.set_defaults(fn=cmd_gen)
 
     # each option defaults to absent, so cmd_verify sees only those given

@@ -80,12 +80,21 @@ def test_gen_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[1] == "3,5,1,5,prime"
 
 
-@pytest.mark.parametrize("option", ["--cache", "--out"])
-def test_gen_unusable_path_is_a_clean_error(tmp_path, capsys, option):
+@pytest.mark.parametrize("option, missing_dir", [
+    pytest.param("--cache", False, id="--cache"),
+    pytest.param("--out", False, id="--out"),
+    pytest.param("--cache", True, id="--cache-in-missing-dir"),
+])
+def test_gen_unusable_path_is_a_clean_error(tmp_path, capsys, option, missing_dir):
+    path = tmp_path / "nodir" / "c.jsonl" if missing_dir else tmp_path
     code, out, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "5",
-                         option, str(tmp_path))
+                         option, str(path))
     assert code == 2 and out == ""
     assert err.startswith("gcdseq gen: error: ") and err.count("\n") == 1
+    if missing_dir:
+        # the error names the given path, not the temporary file written beside it
+        assert err == f"gcdseq gen: error: [Errno 2] No such file or directory: '{path}'\n"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("family, n_from", [("main", 3), ("quad:2", 3), ("linear:3", 3),
@@ -93,10 +102,11 @@ def test_gen_unusable_path_is_a_clean_error(tmp_path, capsys, option):
                          ids=["main", "quad:2", "linear:3", "rowland"])
 def test_gen_cache_roundtrip(tmp_path, capsys, family, n_from):
     cache = tmp_path / "cache.jsonl"
-    args = ("gen", "--family", family, "--from", str(n_from), "--to", "8",
-            "--cache", str(cache))
+    args = ("gen", "--family", family, "--from", str(n_from), "--to", "8")
+    _, plain, _ = run(capsys, *args)
+    args += ("--cache", str(cache))
     code, first, _ = run(capsys, *args)
-    assert code == 0
+    assert code == 0 and first == plain
     cached_lines = cache.read_text().strip().splitlines()
     assert len(cached_lines) == 9 - n_from
     code, second, err = run(capsys, *args)
@@ -134,6 +144,9 @@ MAIN_3 = {"family": "main", "n": 3, "x": 5, "y_mod_x": 1, "d": 1, "a": 5, "class
                  "main", "invalid cache entry", "3,5,1,5,prime", id="class-mismatch"),
     pytest.param(json.dumps({**MAIN_3, "y_mod_x": MAIN_3["y_mod_x"] + MAIN_3["x"]}) + "\n",
                  "main", "invalid cache entry", "3,5,1,5,prime", id="unreduced-residue"),
+    # gcd(5, 2) = gcd(5, 1) = 1: d, a and class all match, only the residue is wrong
+    pytest.param(json.dumps({**MAIN_3, "y_mod_x": 2}) + "\n",
+                 "main", "invalid cache entry", "3,5,1,5,prime", id="wrong-residue-same-gcd"),
 ])
 def test_gen_cache_detects_corruption(tmp_path, capsys, content, family, warning, row):
     cache = tmp_path / "cache.jsonl"
@@ -154,7 +167,7 @@ def test_gen_cache_detects_corruption(tmp_path, capsys, content, family, warning
     assert code == 0 and again == clean and err == ""
 
 
-def test_gen_computes_missing_terms_by_one_scan(tmp_path, capsys, monkeypatch):
+def test_gen_takes_every_term_from_one_scan(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache.jsonl"
     argv = ("gen", "--family", "main", "--format", "jsonl", "--cache", str(cache))
     run(capsys, *argv, "--from", "10", "--to", "12")
@@ -175,9 +188,27 @@ def test_gen_computes_missing_terms_by_one_scan(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, *argv, "--from", "3", "--to", "20")
     assert (code, out, err) == (0, clean, "")
     assert scans == [(3, 20)]
+    # all cached: the cache is still checked against one scan of the range
     code, out, err = run(capsys, *argv, "--from", "3", "--to", "20")
     assert (code, out, err) == (0, clean, "")
-    assert scans == [(3, 20)]  # all cached: no scan
+    assert scans == [(3, 20), (3, 20)]
+
+
+def test_gen_cache_rewrite_keeps_file_order_then_fresh_terms(tmp_path, capsys):
+    def jsonl(family, n_from, n_to):
+        _, out, _ = run(capsys, "gen", "--family", family, "--from", str(n_from),
+                        "--to", str(n_to), "--format", "jsonl")
+        return out.splitlines(keepends=True)
+
+    quad = jsonl("quad:2", 3, 9)[::-1]  # file order, not n order
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(quad + jsonl("main", 10, 12)) + json.dumps(MAIN_3)[:30])
+    code, out, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "20",
+                         "--format", "jsonl", "--cache", str(cache))
+    assert (code, out) == (0, "".join(jsonl("main", 3, 20)))
+    assert err == "warning: malformed cache line 11; ignored\n"
+    assert cache.read_text() == "".join(
+        quad + jsonl("main", 10, 12) + jsonl("main", 3, 9) + jsonl("main", 13, 20))
 
 
 # ---------------------------------------------------------------------------
