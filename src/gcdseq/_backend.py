@@ -12,11 +12,9 @@ one bigint ``%`` per block of 64 terms instead of one per term.
 ``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x from the walk.
 
 ``factorial_mod(m, x)`` (single terms' factor route and ``gcd_via_factorial``)
-reads the exact (64*j)! from a table below ``_TABLE_LIMIT`` and reduces it
-with one bigint ``%``, then multiplies in at most 63 factors; larger m runs
-a chain that reduces once per four factors, since multiplying by a small
-factor costs less than a ``%``, and a plain loop takes the last one to three
-factors.
+reduces the largest stored exact (64*j)!, j < 64, with one bigint ``%``, then
+multiplies in the remaining factors 64 at a time, one product and one ``%``
+per stride, since multiplying small factors together costs less than a ``%``.
 
 Everything here is plain Python integers, with no size limit on t, m or the
 modulus. The exact recurrences in ``recurrences`` are the reference it is
@@ -27,7 +25,7 @@ import math
 from functools import lru_cache
 
 _STRIDE = 64  # factors per table entry, and terms per block of a walk
-_TABLE_LIMIT = 4096  # factorial_mod reads the table below this m
+_TABLE_LIMIT = 4096  # factorial_mod stores (64*j)! below this m
 
 
 def backend_name():
@@ -126,26 +124,23 @@ def _stride_factorial(j):
     """The exact (64*j)!, for 0 <= j < 64: the table, filled on demand."""
     if j == 0:
         return 1
-    return _stride_factorial(j - 1) * math.prod(range(_STRIDE * (j - 1) + 1, _STRIDE * j + 1))
+    return _stride_factorial(j - 1) * math.perm(_STRIDE * j, _STRIDE)
 
 
 def factorial_mod(m, x):
     """Return ``m! mod x`` for m >= 0, x >= 1.
 
-    Below ``_TABLE_LIMIT`` the stored (64*j)!, j = m // 64, is reduced mod x
-    and the last m % 64 factors are multiplied in. From there on the chain
-    runs, and short-circuits once 0: the zero check runs once per block of
-    four factors, so a product that reaches 0 mid-block is caught at the
-    block's end; the result is 0 either way.
+    The stored (64*j)!, j = m // 64 clamped below 64, is reduced mod x, and
+    the factors 64*j+1 .. m come in strides of 64, each one product
+    ``math.perm(hi, hi - lo)`` = (lo+1)...hi (a product tree in C) and one
+    ``%``: below ``_TABLE_LIMIT``, one stride of at most 63 factors. Once
+    the residue is 0 no further stride runs.
     """
-    if m < _TABLE_LIMIT:
-        j = m // _STRIDE
-        return _stride_factorial(j) % x * math.prod(range(_STRIDE * j + 1, m + 1)) % x
-    r = 1 % x
-    for j in range(1, m - 2, 4):
-        r = r * j * (j + 1) * (j + 2) * (j + 3) % x
+    j = min(m, _TABLE_LIMIT - 1) // _STRIDE
+    r = _stride_factorial(j) % x
+    for lo in range(_STRIDE * j, m, _STRIDE):
         if r == 0:
-            return 0
-    for j in range(m - m % 4 + 1, m + 1):
-        r = r * j % x
+            break
+        hi = min(lo + _STRIDE, m)
+        r = r * math.perm(hi, hi - lo) % x
     return r

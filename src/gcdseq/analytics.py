@@ -10,6 +10,7 @@ first differences r(n+1) - r(n) of its first N terms (N-1 differences).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .conjectures import OccurrenceIndex
 from .errors import EmptyRange
@@ -67,17 +68,17 @@ class CompareReport:
     terms: int
     main: EfficiencyReport
     rowland: EfficiencyReport
-    distinct_prime_ratio: float | None
-    main_ones_share: float
-    rowland_ones_share: float | None
+    distinct_prime_ratio: Fraction | None
+    main_ones_share: Fraction
+    rowland_ones_share: Fraction | None
 
 
 def compare(count: int) -> CompareReport:
-    """Both efficiency reports plus ratios; pure function of ``count``."""
+    """Both efficiency reports plus exact ratios; pure function of ``count``."""
     main_report = efficiency(MAIN, count)
     rowland_report = efficiency(ROWLAND, count)
     ratio = (
-        main_report.distinct_primes / rowland_report.distinct_primes
+        Fraction(main_report.distinct_primes, rowland_report.distinct_primes)
         if rowland_report.distinct_primes
         else None
     )
@@ -86,8 +87,9 @@ def compare(count: int) -> CompareReport:
         main=main_report,
         rowland=rowland_report,
         distinct_prime_ratio=ratio,
-        main_ones_share=main_report.ones / main_report.measured,
+        main_ones_share=Fraction(main_report.ones, main_report.measured),
         rowland_ones_share=(
-            rowland_report.ones / rowland_report.measured if rowland_report.measured else None
+            Fraction(rowland_report.ones, rowland_report.measured)
+            if rowland_report.measured else None
         ),
     )

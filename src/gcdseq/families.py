@@ -52,10 +52,10 @@ Chinese remainder theorem from t! mod p^e for each p^e exactly dividing 2x:
 * else if e = 1 (then p > t), Wilson's (p-1)! = -1 (mod p) and
   (t+1)(t+2)...(p-1) = (-1)^k * k! (mod p), k = p-1-t, give
   t! = (-1)^(k+1) / k! (mod p), so the cheaper of t and k factors is run;
-* else the residue is t! mod p^e, from the table below 4096, else forward.
+* else the residue is t! mod p^e, run forward.
 
-Both k! and t! come from ``_backend.factorial_mod``, which reads an exact
-(64*j)! below 4096 and multiplies in at most 63 factors.
+Both k! and t! come from ``_backend.factorial_mod``: a stored exact (64*j)!,
+j < 64, then 64 factors per ``%`` (below 4096, at most 63 factors in all).
 
 This is exact while x < 2**64: ``primality.factor`` confirms each prime by
 Miller-Rabin over a base set that is deterministic below 2**64. For larger x
@@ -268,16 +268,17 @@ def _partner_residue(x: int, t: int, c: int, e: int, walk=None) -> int:
         return (x * t + c * (t + 2)) // 2 % x
     m = 2 * x
     if x >= _FACTOR_LIMIT:
-        return c * (t + 2) * _backend.factorial_mod(t, m) % m // 2
-    powers = factor(x)
-    powers[2] = powers.get(2, 0) + 1
-    f = 0
-    for p, k in powers.items():
-        r = _factorial_mod_prime_power(t, p, k)
-        if r:
-            q = p**k
-            rest = m // q
-            f += r * rest * pow(rest, -1, q)
+        f = _backend.factorial_mod(t, m)
+    else:
+        powers = factor(x)
+        powers[2] = powers.get(2, 0) + 1
+        f = 0
+        for p, k in powers.items():
+            r = _factorial_mod_prime_power(t, p, k)
+            if r:
+                q = p**k
+                rest = m // q
+                f += r * rest * pow(rest, -1, q)
     return c * (t + 2) * f % m // 2
 
 
@@ -355,8 +356,8 @@ class FactorialReplacementReport:
 
 def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> FactorialReplacementReport:
     """The partner side walks t! and !t, or takes the factor route per n when
-    n_from is far out, as ``scan`` does; the factorial side runs
-    ``factorial_mod`` per n, an independent route."""
+    n_from is far out, as ``scan`` does; the factorial side, an independent
+    route, runs ``factorial_mod`` per n: a stored (64*j)!, then 64 factors per ``%``."""
     _check_range(MAIN, n_from, n_to)
     walk = _walk_for(MAIN, n_from, n_to)
     bad = []

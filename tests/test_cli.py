@@ -656,3 +656,12 @@ def test_compare_cli(capsys):
     report = json.loads(out)
     assert report["main"]["distinct_primes"] == 21
     assert report["rowland"]["distinct_primes"] == 4
+
+
+def test_compare_cli_prints_exact_ratios(capsys):
+    # Fractions, printed as strings: no float reaches the report
+    code, out, _ = run(capsys, "compare", "--terms", "25")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["distinct_prime_ratio"], report["main_ones_share"],
+            report["rowland_ones_share"]) == ("21/4", "0", "3/4")

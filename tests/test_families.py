@@ -220,6 +220,10 @@ def test_gcd_via_factorial_against_real_factorials():
         x = numerator(MAIN, n)
         assert gcd_via_factorial(n, x) == math.gcd(x, fact)
         fact *= n
+    # across the end of the (64*j)! table at 4096 and into the first strides
+    for n in range(4090, 4171):
+        x = numerator(MAIN, n)
+        assert gcd_via_factorial(n, x) == math.gcd(x, math.factorial(n - 1)), n
 
 
 def legendre(t, p):
@@ -472,4 +476,5 @@ def test_factorial_replacement_walks_its_partner_side():
         # far out: the factor route per n, no walk
         assert verify_factorial_replacement(150, 160).clean
         assert verify_factorial_replacement(5000, 5010).clean
+        assert verify_factorial_replacement(4090, 4110).clean  # across the table's end
     assert spy.call_count == 1

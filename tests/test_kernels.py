@@ -33,16 +33,18 @@ def test_second_order_chain_every_tail(t, x):
 
 
 def test_pure_python_factorial_mod():
-    # below 4096 m! comes from the table of (64*j)!: m on both sides of its
-    # stride boundaries. From 4096 on the chain runs in blocks of four factors
-    # 1..4, 5..8, 9..12, ..., and a tail of none to three (m = 4096..4100); its
-    # product first reaches 0 at factor 5 (x = 5!), 7 (7!), 8 (8!) and
-    # 10 (2**8): the first, a middle, the last and a middle factor of a block
-    for x in (1, 2, 55, 97, 10**12 + 39, 2**70 + 3,
-              math.factorial(5), math.factorial(7), math.factorial(8), 2**8):
-        for m in (*range(14), 25, 63, 64, 65, 127, 128, 4095, 4096, 4097, 4098, 4099, 4100):
+    # m! starts from the stored (64*j)!, j <= 63, then takes strides of 64
+    # factors: m on both sides of the table's stride boundaries, of its end
+    # at 4096 and of the strides beyond it (4097..4160, 4161..4224), and
+    # far out. 4099*4111 first divides m! at m = 4111, inside stride
+    # 4097..4160, and no stride runs once the residue is 0 (m = 4300)
+    for x in (1, 2, 55, 97, 10**12 + 39, 2**70 + 3, 4099 * 4111):
+        for m in (*range(14), 25, 63, 64, 65, 127, 128, 4095, 4096, 4097,
+                  4110, 4111, 4159, 4160, 4161, 4300, 10_000):
             assert _backend.factorial_mod(m, x) == math.factorial(m) % x, (m, x)
-    # only (64*j)! for j < 64 is stored: the chain, not the table, served m >= 4096
+    assert _backend.factorial_mod(4110, 4099 * 4111) != 0
+    assert _backend.factorial_mod(4111, 4099 * 4111) == 0
+    # only (64*j)! for j < 64 is stored, however large m grows
     assert _backend._stride_factorial.cache_info().currsize <= 4096 // 64
 
 
