@@ -13,12 +13,41 @@ for which two candidate closed forms are kept side by side: the printed one,
 2*(m*b(n-3) - n*b(n-4)) / (n*(m-n+1)), and the derived one,
 (m*!(n-1) - 2*b(n-3)) / (m-n+1). The verifier reports both against the
 evaluated fraction rather than preferring either; the elimination oracle
-(backward substitution through each scheme's two-term relations) is the
-independent route that pins down which coefficients actually occur.
+(backward substitution through each scheme's two-term relations) pins down
+which coefficients actually occur.
 
-Arithmetic is exact throughout. ``eval_cf`` runs on plain integers and
-normalises once, into the ``fractions.Fraction`` it returns; the closed
-forms are ``Fraction``s too, so comparisons are exact.
+Both are 1/v_1 with v_j = c_j - p_j/v_{j+1} over the levels j = 1..K and
+v_{K+1} = m: (p_j, c_j) = (j+2, j+1) with K = n-2 in T1, (j, j) with K = n-1
+in T2. Level 0 is the outer reciprocal, 1/v_1 = 0 - (-1)/v_1.
+
+Convergent table. With v_j = N_j/D_j, (N_j, D_j) = A_j (N_{j+1}, D_{j+1}) for
+A_j = [[c_j, -p_j], [1, 0]], so (N, D) = P_K (m, 1) with P_K = A_1 ... A_K,
+and the value is D/N (the fundamental recurrence, Euler-Wallis; H. S. Wall,
+Analytic Theory of Continued Fractions, 1948, ch. I). No level depends on n
+or m, so one table per scheme serves every fraction. Its entry k is
+col_k = (x_k, y_k), the first column of P_k. The second column of
+P_k = P_{k-1} A_k is -p_k col_{k-1}, so col_k = c_k col_{k-1} - p_{k-1} col_{k-2},
+from col_{-1} = (0, 1) and col_0 = (1, 0).
+
+Zero levels. Level j >= 1 divides by zero when N_{j+1} = 0, level 0 when
+N = N_1 = 0. Since (N, D) = P_j (N_{j+1}, D_{j+1}), the adjugate of P_j gives
+det(P_j) N_{j+1} = t N - s D, where (s, t) = -p_j col_{j-1} is the second
+column of P_j and det(P_j) = p_1 ... p_j is not 0. So level j fails exactly
+when N y_{j-1} = D x_{j-1}, for j = 0 too, and the deepest such j <= K is
+raised: it is where a walk from the innermost level stops. Candidates are
+looked up by their point on the projective line over Z/Q, Q prime. A common
+factor of x_k and y_k divides x_k y_{k-1} - x_{k-1} y_k = +-p_1 ... p_{k-1}, and a
+common factor of N and D divides det(P_K), as adj(P_K) (N, D) = det(P_K) (m, 1).
+So neither pair is (0, 0) mod Q while every p_j < Q, that is for n < Q:
+proportional pairs share a key, no match is missed, and each hit is
+confirmed by the exact cross-multiplication.
+
+Elimination. The relations a_j = c_j a_{j+1} - p_j a_{j+2} give
+(a_1, a_2) = P_K (a_{K+1}, a_{K+2}): the rows of P_K are the forms of a_1 and
+a_2, and the fraction is a_2/a_1 at (a_{K+1}, a_{K+2}) = (m, 1).
+
+Arithmetic is exact throughout: integers, one normalisation into the
+``fractions.Fraction`` that ``eval_cf`` returns, and ``Fraction`` closed forms.
 """
 
 from __future__ import annotations
@@ -28,68 +57,123 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import IndexBelowDomain, ZeroDenominator
-from .recurrences import b, left_factorial
+from .recurrences import _RecurrenceCache, b, left_factorial
 
 class Scheme(Enum):
     T1 = "t1"
     T2 = "t2"
 
+    def level(self, j: int) -> tuple[int, int]:
+        """(p_j, c_j) of level j from the outermost = 1; level 0 is 1/v_1."""
+        if j == 0:
+            return -1, 0
+        return (j + 2, j + 1) if self is Scheme.T1 else (j, j)
+
+    def depth(self, n: int) -> int:
+        """K, the number of levels of the fraction at n."""
+        return n - 2 if self is Scheme.T1 else n - 1
+
 
 @dataclass(frozen=True)
 class CFSpec:
-    """A descending finite continued fraction.
+    """The fraction of ``scheme`` at ``n``: levels ``scheme.level(j)`` for
+    j = 1..depth(n) from the outermost inward, innermost v = ``tail``."""
 
-    ``levels`` is an ordered list of (partial_numerator p_j, level_constant
-    c_j) from the outermost level inward; the value is 1 / v_1 where
-    v_j = c_j - p_j / v_{j+1} and the innermost v uses ``tail``.
-    """
-
-    levels: tuple[tuple[int, int], ...]
+    scheme: Scheme
+    n: int
     tail: int
 
 
 def cf_theorem1_spec(n: int, m: int) -> CFSpec:
     """Levels (3,2), (4,3), ..., (n, n-1) with tail m; n >= 3."""
-    if n < 3:
-        raise IndexBelowDomain(f"scheme defined for n >= 3, got {n}")
-    return CFSpec(tuple((j + 1, j) for j in range(2, n)), m)
+    return cf_spec(Scheme.T1, n, m)
 
 
 def cf_theorem2_spec(n: int, m: int) -> CFSpec:
     """Levels (1,1), (2,2), ..., (n-1, n-1) with tail m; n >= 3."""
-    if n < 3:
-        raise IndexBelowDomain(f"scheme defined for n >= 3, got {n}")
-    return CFSpec(tuple((j, j) for j in range(1, n)), m)
+    return cf_spec(Scheme.T2, n, m)
 
 
 def cf_spec(scheme: Scheme, n: int, m: int) -> CFSpec:
-    if scheme is Scheme.T1:
-        return cf_theorem1_spec(n, m)
-    return cf_theorem2_spec(n, m)
+    if n < 3:
+        raise IndexBelowDomain(f"scheme defined for n >= 3, got {n}")
+    return CFSpec(scheme, n, m)
+
+
+_Q = 2**30 - 35  # prime, and one digit of a CPython int
+
+
+def _key(x, y):
+    """(x : y) on the projective line over Z/_Q: x/y mod _Q, or _Q for
+    y = 0 mod _Q."""
+    y %= _Q
+    return x % _Q * pow(y, -1, _Q) % _Q if y else _Q
+
+
+class _ConvergentTable(_RecurrenceCache):
+    """The columns col_k = (x_k, y_k), k >= -1, of one scheme. Each step also
+    indexes level k + 1 by the key of col_k, from the residues mod _Q of the
+    last two columns; it runs under the cache's lock, before the column is
+    published."""
+
+    def __init__(self, scheme):
+        self._level = scheme.level
+        self._zeros = {}
+        self._recent = ()
+        initial = ((0, 1), (1, 0))
+        for k, col in enumerate(initial, -1):
+            self._index(k, *col)
+        super().__init__(-1, initial, self._next)
+
+    def _index(self, k, xq, yq):
+        self._recent = (*self._recent[-1:], (xq, yq))
+        key = _key(xq, yq)
+        self._zeros[key] = self._zeros.get(key, ()) + (k + 1,)
+
+    def _next(self, k, cols):
+        c, p = self._level(k)[1], self._level(k - 1)[0]
+        (u2, w2), (u1, w1) = self._recent
+        self._index(k, (c * u1 - p * u2) % _Q, (c * w1 - p * w2) % _Q)
+        (x1, y1), (x2, y2) = cols[-1], cols[-2]
+        return c * x1 - p * x2, c * y1 - p * y2
+
+    def prefix(self, k):
+        """P_k = A_1 ... A_k as its rows."""
+        (x, y), (x1, y1) = self.value(k), self.value(k - 1)
+        p = self._level(k)[0]
+        return (x, -p * x1), (y, -p * y1)
+
+    def zero_level(self, num, den, k):
+        """The deepest level j <= k failing at P_k (m, 1) = (num, den), or None."""
+        for j in reversed(self._zeros.get(_key(num, den), ())):
+            if j <= k:
+                x, y = self.value(j - 1)
+                if num * y == den * x:
+                    return j
+        return None
+
+
+_TABLES = {scheme: _ConvergentTable(scheme) for scheme in Scheme}
 
 
 def eval_cf(spec: CFSpec) -> Fraction:
-    """Evaluate innermost-first as an integer continuant; exact, never rounds.
+    """Evaluate as (N, D) = P_K (m, 1) from the scheme's table; exact.
 
-    The running value v_j is kept as the unreduced ratio num/den of two
-    integers (the Euler-Wallis recurrence): v_j = c_j - p_j/v_{j+1} gives
-    num, den = c_j*num - p_j*den, num. Since den is always the previous,
-    nonzero num, v_j is zero exactly when num is. The result is
-    Fraction(den, num), the one normalisation of the call.
-
-    Raises ZeroDenominator naming the level whose division failed (levels
-    counted from the outermost = 1; level 0 is the final reciprocal).
+    The result is Fraction(D, N), the one normalisation of the call. Raises
+    ZeroDenominator naming the level whose division failed (levels counted
+    from the outermost = 1; level 0 is the final reciprocal).
     """
-    num, den = spec.tail, 1
-    for level in range(len(spec.levels), 0, -1):
-        p, c = spec.levels[level - 1]
-        if num == 0:
-            raise ZeroDenominator(
-                f"zero denominator under level {level}", where="cf", level=level
-            )
-        num, den = c * num - p * den, num
-    if num == 0:
+    k, m = spec.scheme.depth(spec.n), spec.tail
+    table = _TABLES[spec.scheme]
+    near, far = table.prefix(k)
+    num, den = near[0] * m + near[1], far[0] * m + far[1]
+    level = table.zero_level(num, den, k)
+    if level == 0:
         raise ZeroDenominator("outer value is zero", where="cf", level=0)
+    if level is not None:
+        raise ZeroDenominator(
+            f"zero denominator under level {level}", where="cf", level=level
+        )
     return Fraction(den, num)
 
 
@@ -141,22 +225,14 @@ class LinearForm:
 
 
 def elimination_chain(scheme: Scheme, n: int) -> tuple[LinearForm, LinearForm]:
-    """Express a_1 and a_2 as two-term forms by backward substitution.
-
-    Both schemes use relations a_j = r a_{j+1} - s a_{j+2}: T1 with
-    (r, s) = (j+1, j+2), landing on the basis (a_{n-1}, a_n), and T2 with
-    (r, s) = (j, j), landing on (a_n, a_{n+1}).
-    """
+    """a_1 and a_2 as two-term forms in the basis (a_{K+1}, a_{K+2}): T1 lands
+    on (a_{n-1}, a_n), T2 on (a_n, a_{n+1}). Backward substitution through
+    a_j = c_j a_{j+1} - p_j a_{j+2} is the prefix product P_K of the table."""
     if n < 3:
         raise IndexBelowDomain(f"chain defined for n >= 3, got {n}")
-    t1 = scheme is Scheme.T1
-    u = n - 1 if t1 else n
-    # the (alpha, beta) of a_{j+1} and a_{j+2}, starting from a_u and a_{u+1}
-    near, far = (1, 0), (0, 1)
-    for j in range(u - 1, 0, -1):
-        r, s = (j + 1, j + 2) if t1 else (j, j)
-        near, far = (r * near[0] - s * far[0], r * near[1] - s * far[1]), near
-    return LinearForm(*near, u, u + 1), LinearForm(*far, u, u + 1)
+    k = scheme.depth(n)
+    near, far = _TABLES[scheme].prefix(k)
+    return LinearForm(*near, k + 1, k + 2), LinearForm(*far, k + 1, k + 2)
 
 
 @dataclass(frozen=True)

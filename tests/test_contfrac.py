@@ -1,9 +1,13 @@
+import sys
+import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcdseq import contfrac
 from gcdseq.contfrac import (
     CFSpec,
     LinearForm,
@@ -28,15 +32,24 @@ from gcdseq.recurrences import b, left_factorial
 # CFSpec construction
 # ---------------------------------------------------------------------------
 
+def _levels(spec):
+    """The (p_j, c_j) of levels 1..K of ``spec``, outermost first."""
+    return tuple(spec.scheme.level(j) for j in range(1, spec.scheme.depth(spec.n) + 1))
+
+
 def test_t1_spec_shapes():
-    assert cf_theorem1_spec(3, 5) == CFSpec(((3, 2),), 5)
-    assert cf_theorem1_spec(4, 7) == CFSpec(((3, 2), (4, 3)), 7)
-    assert cf_theorem1_spec(5, 1) == CFSpec(((3, 2), (4, 3), (5, 4)), 1)
+    assert cf_theorem1_spec(3, 5) == CFSpec(Scheme.T1, 3, 5)
+    assert _levels(cf_theorem1_spec(3, 5)) == ((3, 2),)
+    assert _levels(cf_theorem1_spec(4, 7)) == ((3, 2), (4, 3))
+    assert _levels(cf_theorem1_spec(5, 1)) == ((3, 2), (4, 3), (5, 4))
+    assert cf_theorem1_spec(5, 1).tail == 1
 
 
 def test_t2_spec_shapes():
-    assert cf_theorem2_spec(3, 5) == CFSpec(((1, 1), (2, 2)), 5)
-    assert cf_theorem2_spec(4, 9) == CFSpec(((1, 1), (2, 2), (3, 3)), 9)
+    assert cf_theorem2_spec(3, 5) == CFSpec(Scheme.T2, 3, 5)
+    assert _levels(cf_theorem2_spec(3, 5)) == ((1, 1), (2, 2))
+    assert _levels(cf_theorem2_spec(4, 9)) == ((1, 1), (2, 2), (3, 3))
+    assert cf_theorem2_spec(4, 9).tail == 9
 
 
 def test_spec_below_domain():
@@ -81,9 +94,13 @@ def test_eval_interior_zero():
 
 def _eval_cf_per_level(spec):
     """Reference: one Fraction per level; the value, or the zero level."""
-    value = Fraction(spec.tail)
-    for level in range(len(spec.levels), 0, -1):
-        p, c = spec.levels[level - 1]
+    return _walk_levels(_levels(spec), spec.tail)
+
+
+def _walk_levels(levels, tail):
+    value = Fraction(tail)
+    for level in range(len(levels), 0, -1):
+        p, c = levels[level - 1]
         if value == 0:
             return ("zero", level)
         value = c - Fraction(p) / value
@@ -92,24 +109,150 @@ def _eval_cf_per_level(spec):
     return 1 / value
 
 
+def _per_level_over_tails(scheme, n, tails):
+    """The per-level walk for every tail m at once, innermost level first,
+    with the running numerator and denominator kept as integer forms in m; a
+    tail is caught at the innermost level whose numerator vanishes at it."""
+    levels = _levels(cf_spec(scheme, n, 0))
+    num, den = (1, 0), (0, 1)
+    results = {}
+    for level in range(len(levels), -1, -1):
+        slope, const = num
+        if slope and const % slope == 0 and -const // slope in tails:
+            results.setdefault(-const // slope, ("zero", level))
+        if level:
+            p, c = levels[level - 1]
+            num, den = (c * slope - p * den[0], c * const - p * den[1]), num
+    for m in tails - results.keys():
+        results[m] = Fraction(den[0] * m + den[1], num[0] * m + num[1])
+    return results
+
+
+def _assert_eval_matches(spec, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(ZeroDenominator) as exc:
+            eval_cf(spec)
+        level = exc.value.level
+        assert ("zero", level) == expected, spec
+        assert exc.value.where == "cf"
+        assert str(exc.value) == ("outer value is zero" if level == 0
+                                  else f"zero denominator under level {level}")
+    else:
+        got = eval_cf(spec)
+        assert type(got) is Fraction and got == expected, spec
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([Scheme.T1, Scheme.T2]),
-    st.integers(min_value=3, max_value=60),
+    st.integers(min_value=3, max_value=200),
     st.one_of(st.integers(min_value=-30, max_value=30),
               st.sampled_from([10**12, -(10**12)])),
 )
 def test_eval_matches_per_level_fractions(scheme, n, m):
     spec = cf_spec(scheme, n, m)
     expected = _eval_cf_per_level(spec)
-    if isinstance(expected, tuple):
-        with pytest.raises(ZeroDenominator) as exc:
-            eval_cf(spec)
-        assert ("zero", exc.value.level) == expected
-        assert exc.value.where == "cf"
-    else:
-        got = eval_cf(spec)
-        assert type(got) is Fraction and got == expected
+    _assert_eval_matches(spec, expected)
+    assert _per_level_over_tails(scheme, n, {m})[m] == expected
+
+
+GRID_TAILS = {*range(-60, 61), 10**12, -(10**12), 10**30, -(10**30)}
+
+
+def test_eval_matches_per_level_walk_on_grid():
+    zeros = 0
+    for scheme in (Scheme.T1, Scheme.T2):
+        for n in range(3, 201):
+            for m, expected in _per_level_over_tails(scheme, n, GRID_TAILS).items():
+                _assert_eval_matches(cf_spec(scheme, n, m), expected)
+                zeros += isinstance(expected, tuple)
+    # T1: m = 0 at every n; T2: m = 0 and m = 1 at every n, m = n - 1 to n = 61
+    assert zeros == 198 + 2 * 198 + 59
+
+
+@pytest.mark.parametrize("scheme, n, m, level", [
+    (Scheme.T1, 1000, 0, 998),    # innermost
+    (Scheme.T2, 1000, 0, 999),    # innermost
+    (Scheme.T2, 1000, 1, 998),    # interior: 999 - 999/1 = 0
+    (Scheme.T2, 1000, 999, 0),    # outer value
+    (Scheme.T2, 1500, 1499, 0),
+])
+def test_eval_zero_levels_at_depth(scheme, n, m, level):
+    spec = cf_spec(scheme, n, m)
+    assert _eval_cf_per_level(spec) == ("zero", level)
+    _assert_eval_matches(spec, ("zero", level))
+
+
+def test_eval_at_depth_matches_per_level_fractions():
+    for scheme, n, m in ((Scheme.T1, 1000, 7), (Scheme.T2, 1000, 998), (Scheme.T2, 1000, 2)):
+        spec = cf_spec(scheme, n, m)
+        _assert_eval_matches(spec, _eval_cf_per_level(spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4).filter(bool), st.integers(-3, 3)),
+                min_size=1, max_size=10))
+def test_table_matches_per_level_walk_for_any_levels(levels):
+    # the table's claims hold for every level function with nonzero p_j,
+    # including levels with c_j = 0, where zeros at several levels stack
+    table = contfrac._ConvergentTable(
+        SimpleNamespace(level=lambda j: (-1, 0) if j == 0 else levels[j - 1]))
+    for k in range(1, len(levels) + 1):
+        near, far = table.prefix(k)
+        for m in range(-6, 7):
+            num, den = near[0] * m + near[1], far[0] * m + far[1]
+            expected = _walk_levels(levels[:k], m)
+            level = table.zero_level(num, den, k)
+            got = Fraction(den, num) if level is None else ("zero", level)
+            assert got == expected, (k, m)
+
+
+def test_zero_index_confirms_every_hit(monkeypatch):
+    # with one key for every level, each lookup meets every level as a
+    # candidate: only the exact cross-multiplication may raise
+    monkeypatch.setattr(contfrac, "_key", lambda x, y: 0)
+    monkeypatch.setattr(contfrac, "_TABLES",
+                        {s: contfrac._ConvergentTable(s) for s in Scheme})
+    for scheme in (Scheme.T1, Scheme.T2):
+        for n in range(3, 41):
+            for m, expected in _per_level_over_tails(scheme, n, GRID_TAILS).items():
+                _assert_eval_matches(cf_spec(scheme, n, m), expected)
+
+
+def test_convergent_table_concurrent_readers(monkeypatch):
+    monkeypatch.setattr(contfrac, "_TABLES",
+                        {s: contfrac._ConvergentTable(s) for s in Scheme})
+    tails = {-3, 0, 1, 2, 7, 10**12}
+    expected = {(scheme, n): _per_level_over_tails(scheme, n, tails)
+                for scheme in (Scheme.T1, Scheme.T2) for n in range(3, 301)}
+    mismatches, done = [], []
+
+    def worker(schemes):
+        for n in range(3, 301):
+            for scheme in schemes:
+                for m in tails:
+                    try:
+                        got = eval_cf(cf_spec(scheme, n, m))
+                    except ZeroDenominator as exc:
+                        got = ("zero", exc.level)
+                    if got != expected[scheme, n][m]:
+                        mismatches.append((scheme, n, m))
+        done.append(schemes)
+
+    orders = [(Scheme.T1, Scheme.T2), (Scheme.T2, Scheme.T1)] * 2
+    threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == len(threads)
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +341,36 @@ def test_linear_form_adjacency():
         LinearForm(1, 1, 3, 5)
 
 
+def _elimination_reference(scheme, n):
+    """Backward substitution through a_j = r a_{j+1} - s a_{j+2}, from the
+    basis (a_u, a_{u+1}) down to a_1 and a_2, one relation at a time."""
+    t1 = scheme is Scheme.T1
+    u = n - 1 if t1 else n
+    # the (alpha, beta) of a_{j+1} and a_{j+2}, starting from a_u and a_{u+1}
+    near, far = (1, 0), (0, 1)
+    for j in range(u - 1, 0, -1):
+        r, s = (j + 1, j + 2) if t1 else (j, j)
+        near, far = (r * near[0] - s * far[0], r * near[1] - s * far[1]), near
+    return LinearForm(*near, u, u + 1), LinearForm(*far, u, u + 1)
+
+
+def test_elimination_chain_matches_backward_substitution():
+    for scheme in (Scheme.T1, Scheme.T2):
+        for n in range(3, 401):
+            assert elimination_chain(scheme, n) == _elimination_reference(scheme, n), n
+
+
 def test_cf_equals_chain_ratio():
-    # independent route: the fraction must equal a_2/a_1 with the tail
-    # relation a_u = m * a_v substituted as (a_u, a_v) = (m, 1)
+    # independent routes: the per-level fraction must equal a_2/a_1 of the
+    # backward substitution with the tail relation a_u = m * a_v substituted
+    # as (a_u, a_v) = (m, 1)
     compared = 0
     for scheme in (Scheme.T1, Scheme.T2):
         for n in range(3, 26):
-            a1, a2 = elimination_chain(scheme, n)
+            a1, a2 = _elimination_reference(scheme, n)
             for m in (-9, -2, 1, 3, 5, 12, 101):
-                try:
-                    cf = eval_cf(cf_spec(scheme, n, m))
-                except ZeroDenominator:
+                cf = _eval_cf_per_level(cf_spec(scheme, n, m))
+                if isinstance(cf, tuple):
                     continue
                 denom = a1.evaluate(m, 1)
                 assert denom != 0
