@@ -24,8 +24,10 @@ gcd(x, partner) = gcd(x, 2*partner) = gcd(x, (n-1)*(n-3)!), and
 x = (n-2)(n+1) + 1 is prime to n-2, so this is gcd(x, (n-1)!) for every
 n >= 3 (by hand: gcd(5, 1) = gcd(5, 2!) and gcd(11, 7) = gcd(11, 3!)).
 
-The partner reaches a record by one of three routes, and all three must
-agree field for field:
+The partner reaches a record by one of three routes. They must agree
+residue for residue, which is record for record: every route takes x from
+``_definition``, and ``_record`` makes d, a and the class from x and the
+residue. The routes are:
 
 * exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
 * walk (``scan``): a scan visits t in ascending order, so it keeps a
@@ -385,27 +387,34 @@ class StrategyEquivalenceReport:
 
 
 def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
-    """Recompute every term by each route and compare records field for field.
+    """Recompute every term's partner residue by each route and compare them.
 
-    Each term's exact record is compared with ``term`` (``MODULAR_FAST``, the
-    factor route) and with the family's ``scan`` record (the walk). A
-    mismatch lists the exact and modular records, and the scanned one under
-    ``"scan"`` when that is the one that differs.
+    Per term, the exact residue ``gcd_partner % x`` is compared with the
+    factor route's and the walk's ``_partner_residue``, the walk built as in
+    ``scan``. This is the record-for-record check: on every route x comes
+    from ``_definition``, and d, a and the class are functions of
+    (x, y_mod_x) through ``_record``, so two records are equal exactly when
+    their residues are. A mismatch lists the exact and modular records, and
+    the walked one under ``"scan"`` when that is the one that differs.
+    Rowland has no partner, so it raises ``UnsupportedFamily``.
     """
     mismatches = []
     checked = 0
     for family in specs:
         _check_range(family, family.first_index, n_to)
-        scanned = scan(family, family.first_index, n_to)
-        for n, walked in zip(range(family.first_index, n_to + 1), scanned):
-            exact = term(family, n, Strategy.EXACT_BIGINT)
-            fast = term(family, n, Strategy.MODULAR_FAST)
+        walk = _walk_for(family, family.first_index, n_to)
+        for n in range(family.first_index, n_to + 1):
+            x, t, c, e = _definition(family, n)
+            exact = gcd_partner(family, n) % x
+            fast = _partner_residue(x, t, c, e)
+            walked = _partner_residue(x, t, c, e, walk)
             checked += 1
             if exact != fast or exact != walked:
                 mismatch = {"family": str(family), "n": n,
-                            "exact": exact.as_dict(), "modular": fast.as_dict()}
+                            "exact": _record(family, n, x, exact).as_dict(),
+                            "modular": _record(family, n, x, fast).as_dict()}
                 if exact != walked:
-                    mismatch["scan"] = walked.as_dict()
+                    mismatch["scan"] = _record(family, n, x, walked).as_dict()
                 mismatches.append(mismatch)
     return StrategyEquivalenceReport(
         tuple(str(f) for f in specs), n_to, checked, tuple(mismatches)

@@ -301,6 +301,7 @@ def test_verify_fastpath(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["families"] == ["main", "quad:1", "quad:2", "linear:1", "linear:2"]
+    assert (report["checked"], report["mismatches"]) == (5 * 78, [])
 
 
 @pytest.mark.parametrize("argv", [

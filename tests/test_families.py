@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -455,19 +454,47 @@ def test_scan_walks_near_the_start_and_factors_far_out():
 
 
 def test_strategy_equivalence_lists_a_scan_mismatch():
-    real = families.scan
+    real = _backend.b_mod_pair
 
-    def one_wrong(family, n_from, n_to):
-        for rec in real(family, n_from, n_to):
-            yield replace(rec, y_mod_x=rec.y_mod_x + 1) if rec.n == 7 else rec
+    def one_wrong(t, x, walk):  # only the walk route reads b_mod_pair
+        b_prev, b_cur = real(t, x, walk)
+        return (b_prev, b_cur + 1) if t == 4 else (b_prev, b_cur)  # main n = 7, c = 1
 
-    with mock.patch.object(families, "scan", one_wrong):
+    with mock.patch.object(_backend, "b_mod_pair", one_wrong):
         report = verify_strategy_equivalence([MAIN], 12)
     assert report.checked == 10 and not report.clean
     [bad] = report.mismatches
     assert (bad["n"], bad["exact"], bad["modular"]) == (7, term(MAIN, 7).as_dict(),
                                                         term(MAIN, 7).as_dict())
     assert bad["scan"]["y_mod_x"] == bad["exact"]["y_mod_x"] + 1
+
+
+def test_strategy_equivalence_lists_a_factor_route_mismatch():
+    real = families._partner_residue
+
+    def one_wrong(x, t, c, e, walk=None):
+        r = real(x, t, c, e, walk)
+        return r + 1 if walk is None and t == 4 else r
+
+    with mock.patch.object(families, "_partner_residue", one_wrong):
+        report = verify_strategy_equivalence([MAIN], 12)
+    [bad] = report.mismatches
+    assert bad["n"] == 7 and bad["exact"] == term(MAIN, 7).as_dict()
+    assert bad["modular"]["y_mod_x"] == bad["exact"]["y_mod_x"] + 1
+    assert "scan" not in bad
+
+
+def test_strategy_equivalence_builds_no_record_when_clean():
+    with (mock.patch.object(families, "_record", wraps=families._record) as record,
+          mock.patch.object(families, "term", wraps=families.term) as one_term,
+          mock.patch.object(families, "scan", wraps=families.scan) as scanned):
+        assert verify_strategy_equivalence([MAIN, linear(2)], 200).clean
+    assert (record.call_count, one_term.call_count, scanned.call_count) == (0, 0, 0)
+
+
+def test_strategy_equivalence_refuses_rowland():
+    with pytest.raises(UnsupportedFamily):
+        verify_strategy_equivalence([ROWLAND], 10)
 
 
 def test_factorial_replacement_walks_its_partner_side():
