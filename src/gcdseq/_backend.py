@@ -1,9 +1,10 @@
 """Residue kernels: the blocked left-factorial walk and the factorial table.
 
-A scan asks for consecutive t, so it keeps a ``LeftFactorials`` walk, built
-with the map t -> 2x of its terms. The walk holds the exact integers t! and
-!t only at block starts t = 64j, and advances them a whole block at a time
-with one product and one sum. At a block start it reduces that exact pair
+A residue column (``families``) asks for consecutive t, so it keeps a
+``LeftFactorials`` walk, built with the map t -> 2x of its terms, and
+extends it whenever the column grows. The walk holds the exact integers t!
+and !t only at block starts t = 64j, and advances them a whole block at a
+time with one product and one sum. At a block start it reduces that exact pair
 once mod M, the product of the block's moduli, and steps through the block
 mod M; since every 2x divides M, the residues mod 2x it hands out are
 exact. This is one level of the accumulating remainder tree of
@@ -52,18 +53,28 @@ class LeftFactorials:
     ``t_from..t_to``; !t = 0! + 1! + ... + (t-1)! is the left factorial, so
     !0 = 0 and !(t+1) = !t + t!. The exact pair is kept at t = 64j only. The
     first request in block j advances it there (one product and one sum per
-    block passed), reduces it mod M, the product of the block's moduli, and
-    steps F = F*(t+1) mod M, S += F through the block, keeping F and S mod
-    each 2x; later requests in the block are list lookups. Asking for a
-    smaller t than the last one, a t outside the range, or any modulus but
-    ``modulus(t)`` is an error, so a residue handed out is never wrong.
+    block passed), reduces it mod M, the product of the moduli of the
+    block's t from the one asked for on, and steps F = F*(t+1) mod M,
+    S += F through the block, keeping F and S mod each 2x; later requests in
+    the block are list lookups. ``extend`` moves ``t_to`` up: the walk goes
+    on from where it is, and lists the block in hand again if the old end
+    cut it short. Asking for a smaller t than the last one, a t outside the
+    range, or any modulus but ``modulus(t)`` is an error, so a residue
+    handed out is never wrong.
     """
 
     def __init__(self, modulus, t_from, t_to):
-        self._modulus, self._t_from, self._t_to = modulus, t_from, t_to
+        self._modulus, self._t_to = modulus, t_to
         self.t = t_from  # the last t asked for
         self._start, self._fact, self._left = 0, 1, 0  # exact (t!, !t) at t = 64*_start
         self._block, self._lo, self._moduli, self._pairs = -1, 0, (), ()
+
+    def extend(self, t_to):
+        """Serve every t up to ``t_to`` as well (never a smaller end)."""
+        if t_to > self._t_to:
+            if self._block == self._t_to // _STRIDE:  # the old end cut this block short
+                self._block = -1
+            self._t_to = t_to
 
     def at(self, t, m):
         """Return ``(t! mod m, !t mod m)``, where m must be ``modulus(t)``."""
@@ -73,21 +84,23 @@ class LeftFactorials:
             raise ValueError(f"walk ends at t={self._t_to}, cannot step to t={t}")
         self.t = t
         if t // _STRIDE != self._block:
-            self._fill(t // _STRIDE)
+            self._fill(t)
         i = t - self._lo
         if m != self._moduli[i]:
             raise ValueError(f"the walk serves t={t} mod {self._moduli[i]}, not mod {m}")
         return self._pairs[i]
 
-    def _fill(self, j):
-        """Advance the exact pair to t = 64j and list block j's residues."""
+    def _fill(self, lo):
+        """Advance the exact pair to the start of lo's block and list the
+        residues of the block's t from lo on."""
+        j = lo // _STRIDE
         f, s = self._fact, self._left
         for k in range(self._start, j):
             p, q = _block_step(k)
             f, s = f * p, s + f * q
         self._start, self._fact, self._left = j, f, s
         first = _STRIDE * j
-        lo, hi = max(first, self._t_from), min(first + _STRIDE - 1, self._t_to)
+        hi = min(first + _STRIDE - 1, self._t_to)
         moduli = [self._modulus(t) for t in range(lo, hi + 1)]
         big = math.prod(moduli)
         f, s = f % big, s % big

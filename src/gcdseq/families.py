@@ -11,7 +11,7 @@ Every partner has the form y = c*b(t) + e*b(t-1):
     quad:k    n^2 + (k-2)n - k   n-3   k   n
     linear:k  (k+1)n - k         n-2   1   k
 
-``main`` is ``quad:1``, and ``_definition`` is the one place these forms are
+``main`` is ``quad:1``, and ``_form`` is the one place these forms are
 written. In every row x = c(t+2) + e(t+1), so b(t) = (t+2)*!(t+1)/2 (``!`` is
 the left factorial, see ``recurrences``) and !(t+1) = !t + t! give, for every
 t >= 0,
@@ -26,19 +26,26 @@ n >= 3 (by hand: gcd(5, 1) = gcd(5, 2!) and gcd(11, 7) = gcd(11, 3!)).
 
 The partner reaches a record by one of three routes. They must agree
 residue for residue, which is record for record: every route takes x from
-``_definition``, and ``_record`` makes d, a and the class from x and the
+``_form``, and ``_record`` makes d, a and the class from x and the
 residue. The routes are:
 
 * exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
-* walk (``scan``): a scan visits t in ascending order, so it keeps a
-  ``_backend.LeftFactorials`` walk built with the map t -> 2x of its terms.
-  The walk holds the exact t! and !t at every 64th t and reduces them once
-  per block of 64 terms, mod the product of the block's moduli 2x, so each
-  term reads t! and !t mod 2x, where 2*b(t-1) = (t+1)*!t and
-  2*b(t) = (t+2)*(!t + t!). A scan that starts far out (more indices below
-  its first than in its range) would spend most of its time walking up to
-  it, and takes the factor route per term instead; a Rowland scan has no
-  partner and builds no walk;
+* column (``scan``): the partner residues of a partner form are kept once
+  per process, in an append-only column of y mod x per n (``main`` and
+  ``quad:1`` share one), and a scan reads them. One
+  ``_backend.LeftFactorials`` walk, built with the map t -> 2x, fills the
+  column. It holds the exact t! and !t at every 64th t and reduces them
+  once per block of 64 terms, mod the product of the block's moduli 2x, so
+  each term reads t! and !t mod 2x, where 2*b(t-1) = (t+1)*!t and
+  2*b(t) = (t+2)*(!t + t!). A scan past the column's end extends the walk
+  from where it stopped, so no term is walked twice in a process. Two
+  rules bound the column. A range that starts farther past the column's
+  end than it is long would spend most of its time walking up to it, so
+  it takes the factor route per term and leaves the column as it is. And
+  the column is an ``array('Q')``: the first residue of 2**64 or more
+  seals it, and the terms past its end take a walk of their own per scan,
+  so families with a large k stay exact. A Rowland scan has no partner
+  and reads no column;
 * factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
   the prime factorisation of x, as follows.
 
@@ -71,6 +78,7 @@ first differences.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -79,7 +87,7 @@ from . import _backend
 from .bfile import read_int
 from .errors import EmptyRange, IndexBelowDomain, UnsupportedFamily
 from .primality import Verdict, factor, is_prime
-from .recurrences import b, rowland_diff
+from .recurrences import _RecurrenceCache, b, rowland_diff
 
 
 _FACTOR_LIMIT = 1 << 64  # primality.factor is exact below this
@@ -203,15 +211,25 @@ def quadratic_k(family: FamilySpec) -> int | None:
     return family.k if family.kind is Kind.QUADRATIC else None
 
 
-def _definition(family: FamilySpec, n: int) -> tuple[int, int, int, int]:
-    """(x, t, c, e): the numerator x and the partner form, c*b(t) + e*b(t-1)."""
-    _check_index(family, n)
+def _form(family: FamilySpec):
+    """n -> (x, t, c, e): the numerator x and the partner form, c*b(t) + e*b(t-1).
+
+    The function does not check n; a run over a checked range calls it per
+    term without ``_definition``'s checks.
+    """
     k = quadratic_k(family)
     if k is not None:
-        return n * n + (k - 2) * n - k, n - 3, k, n
+        return lambda n: (n * n + (k - 2) * n - k, n - 3, k, n)
     if family.kind is Kind.LINEAR:
-        return (family.k + 1) * n - family.k, n - 2, 1, family.k
+        k = family.k
+        return lambda n: ((k + 1) * n - k, n - 2, 1, k)
     raise UnsupportedFamily(f"{family} has no numerator or gcd partner")
+
+
+def _definition(family: FamilySpec, n: int) -> tuple[int, int, int, int]:
+    """(x, t, c, e) of term n, as ``_form`` gives it, for n in the family's domain."""
+    _check_index(family, n)
+    return _form(family)(n)
 
 
 def numerator(family: FamilySpec, n: int) -> int:
@@ -259,7 +277,7 @@ def _factorial_mod_prime_power(t: int, p: int, e: int) -> int:
 def _partner_residue(x: int, t: int, c: int, e: int, walk=None) -> int:
     """The gcd partner c*b(t) + e*b(t-1) mod its numerator x, never materialized.
 
-    With a ``walk`` (``_backend.LeftFactorials`` from ``_walk_for``, at or
+    With a ``walk`` (``_backend.LeftFactorials`` from ``_walk``, at or
     below this t) b(t-1) and b(t) mod x come from its t! and !t mod 2x.
     Without one the factor route gives t! mod 2x (module docstring).
     """
@@ -284,8 +302,8 @@ def _partner_residue(x: int, t: int, c: int, e: int, walk=None) -> int:
     return c * (t + 2) * f % m // 2
 
 
-def _term(family: FamilySpec, n: int, strategy: Strategy, walk=None) -> TermRecord:
-    """The record of term n, with the partner mod x by ``strategy`` (and ``walk``)."""
+def _term(family: FamilySpec, n: int, strategy: Strategy) -> TermRecord:
+    """The record of term n, with the partner mod x by ``strategy``."""
     if family.kind is Kind.ROWLAND:
         _check_index(family, n)
         diff = rowland_diff(n)
@@ -294,7 +312,7 @@ def _term(family: FamilySpec, n: int, strategy: Strategy, walk=None) -> TermReco
     if strategy is Strategy.EXACT_BIGINT:
         y_mod_x = gcd_partner(family, n) % x
     else:
-        y_mod_x = _partner_residue(x, t, c, e, walk)
+        y_mod_x = _partner_residue(x, t, c, e)
     return _record(family, n, x, y_mod_x)
 
 
@@ -307,32 +325,108 @@ def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST)
     return _term(family, n, strategy)
 
 
-def _walk_for(family: FamilySpec, n_from: int, n_to: int):
-    """A fresh walk for an ascending run over n_from..n_to, or None.
-
-    Walking up from t = 0 to the first term costs no more than the range it
-    serves only when n_from - first_index <= n_to - n_from. Rowland has no
-    partner, so it gets no walk.
-    """
-    if family.kind is Kind.ROWLAND or n_from - family.first_index > n_to - n_from:
-        return None
-    shift = n_from - _definition(family, n_from)[1]  # n - t, the same for every n
+def _walk(family: FamilySpec, n_from: int, n_to: int):
+    """A fresh ``LeftFactorials`` walk for an ascending run over n_from..n_to."""
+    form = _form(family)
+    shift = n_from - form(n_from)[1]  # n - t, the same for every n
 
     def modulus(t):
-        return 2 * numerator(family, t + shift)
+        return 2 * form(t + shift)[0]
     return _backend.LeftFactorials(modulus, n_from - shift, n_to - shift)
+
+
+class _ResidueColumn(_RecurrenceCache):
+    """The partner residues y mod x of one partner form, n = 3, 4, ...
+
+    It grows as every ``_RecurrenceCache`` does, under its lock, into an
+    ``array('Q')``. Each step is one ``_partner_residue`` read from a single
+    ``LeftFactorials`` walk, which ``reach`` extends to the new end first,
+    so the walk resumes where the column ends and no term is walked twice.
+    The first residue of 2**64 or more seals the column for good.
+    """
+
+    def __init__(self, family: FamilySpec):
+        self._family, self._form = family, _form(family)
+        self._walk, self.sealed = None, False
+        super().__init__(family.first_index, (), self._residue)
+        self._terms = array("Q")  # 8 bytes a residue, in place of the list
+
+    def _residue(self, n, terms):
+        return _partner_residue(*self._form(n), self._walk)
+
+    def reach(self, n: int) -> int:
+        """Hold every residue up to index n, unless sealed below it; return
+        the index of the last residue held."""
+        if n > self.high_water and not self.sealed:
+            with self._lock:
+                if n > self.high_water and not self.sealed:
+                    if self._walk is None:
+                        self._walk = _walk(self._family, self._first, n)
+                    else:
+                        self._walk.extend(self._form(n)[1])
+                    try:
+                        self._grow(n - self._first)
+                    except OverflowError:  # a residue of 2**64 or more
+                        self.sealed, self._walk = True, None
+        return self.high_water
+
+    def residues(self, n_from: int, n_to: int):
+        """The residues held for n_from..n_to."""
+        return self._terms[n_from - self._first:n_to - self._first + 1]
+
+
+_COLUMNS: dict[FamilySpec, _ResidueColumn] = {}
+
+
+def _column(family: FamilySpec) -> _ResidueColumn:
+    """The process's column for the partner form of ``family`` (main is quad:1)."""
+    key = quadratic(1) if family.kind is Kind.MAIN else family
+    column = _COLUMNS.get(key)
+    if column is None:
+        column = _COLUMNS.setdefault(key, _ResidueColumn(key))
+    return column
+
+
+def _residues(family: FamilySpec, n_from: int, n_to: int) -> Iterator[tuple]:
+    """(n, (x, t, c, e), y mod x) for n_from..n_to, ascending, by the routes
+    of a scan.
+
+    A range that starts farther past the column's end than it is long takes
+    the factor route per term and leaves the column as it is. Any other
+    range extends the column to n_to and reads it; past a sealed column's
+    end the range takes a walk of its own.
+    """
+    column, form = _column(family), _form(family)
+    if n_from - column.high_water - 1 > n_to - n_from:
+        for n in range(n_from, n_to + 1):
+            definition = form(n)
+            yield n, definition, _partner_residue(*definition)
+        return
+    end = min(column.reach(n_to), n_to)
+    for n, y in zip(range(n_from, end + 1), column.residues(n_from, end)):
+        yield n, form(n), y
+    if end < n_to:
+        lo = max(n_from, end + 1)
+        walk = _walk(family, lo, n_to)
+        for n in range(lo, n_to + 1):
+            definition = form(n)
+            yield n, definition, _partner_residue(*definition, walk)
 
 
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
     """Yield records for n_from..n_to inclusive, in ascending n.
 
-    The partner comes from one blocked left-factorial walk, or from the
-    factor route per term when the range starts far out (module docstring).
+    The partner residues come from the family's column, or from the factor
+    route per term when the range starts far past the column's end (module
+    docstring). A Rowland scan has no partner and reads no column.
     """
     _check_range(family, n_from, n_to)
-    walk = _walk_for(family, n_from, n_to)
-    for n in range(n_from, n_to + 1):
-        yield _term(family, n, Strategy.MODULAR_FAST, walk)
+    if family.kind is Kind.ROWLAND:
+        for n in range(n_from, n_to + 1):
+            yield _term(family, n, Strategy.MODULAR_FAST)
+        return
+    for n, (x, *_), y_mod_x in _residues(family, n_from, n_to):
+        yield _record(family, n, x, y_mod_x)
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
@@ -357,16 +451,15 @@ class FactorialReplacementReport:
 
 
 def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> FactorialReplacementReport:
-    """The partner side walks t! and !t, or takes the factor route per n when
-    n_from is far out, as ``scan`` does; the factorial side, an independent
-    route, runs ``factorial_mod`` per n: a stored (64*j)!, then 64 factors per ``%``."""
+    """The partner side reads main's residues as ``scan`` does, from the
+    column or by the factor route per n when n_from is far out; the
+    factorial side, an independent route, runs ``factorial_mod`` per n: a
+    stored (64*j)!, then 64 factors per ``%``."""
     _check_range(MAIN, n_from, n_to)
-    walk = _walk_for(MAIN, n_from, n_to)
     bad = []
     checked = 0
-    for n in range(n_from, n_to + 1):
-        x, t, c, e = _definition(MAIN, n)
-        d_partner = math.gcd(x, _partner_residue(x, t, c, e, walk))
+    for n, (x, *_), y_mod_x in _residues(MAIN, n_from, n_to):
+        d_partner = math.gcd(x, y_mod_x)
         d_fact = gcd_via_factorial(n, x)
         checked += 1
         if d_partner != d_fact:
@@ -389,32 +482,30 @@ class StrategyEquivalenceReport:
 def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
     """Recompute every term's partner residue by each route and compare them.
 
-    Per term, the exact residue ``gcd_partner % x`` is compared with the
-    factor route's and the walk's ``_partner_residue``, the walk built as in
-    ``scan``. This is the record-for-record check: on every route x comes
-    from ``_definition``, and d, a and the class are functions of
-    (x, y_mod_x) through ``_record``, so two records are equal exactly when
-    their residues are. A mismatch lists the exact and modular records, and
-    the walked one under ``"scan"`` when that is the one that differs.
+    Per term, the exact residue ``gcd_partner % x`` and the factor route's
+    ``_partner_residue`` are compared with the residue a scan reads, from
+    the family's column (or, past a sealed column, its own walk). This is
+    the record-for-record check: on every route x comes from ``_form``,
+    and d, a and the class are functions of (x, y_mod_x) through
+    ``_record``, so two records are equal exactly when their residues are.
+    A mismatch lists the exact and modular records, and the scanned one
+    under ``"scan"`` when that is the one that differs.
     Rowland has no partner, so it raises ``UnsupportedFamily``.
     """
     mismatches = []
     checked = 0
     for family in specs:
         _check_range(family, family.first_index, n_to)
-        walk = _walk_for(family, family.first_index, n_to)
-        for n in range(family.first_index, n_to + 1):
-            x, t, c, e = _definition(family, n)
+        for n, (x, t, c, e), scanned in _residues(family, family.first_index, n_to):
             exact = gcd_partner(family, n) % x
             fast = _partner_residue(x, t, c, e)
-            walked = _partner_residue(x, t, c, e, walk)
             checked += 1
-            if exact != fast or exact != walked:
+            if exact != fast or exact != scanned:
                 mismatch = {"family": str(family), "n": n,
                             "exact": _record(family, n, x, exact).as_dict(),
                             "modular": _record(family, n, x, fast).as_dict()}
-                if exact != walked:
-                    mismatch["scan"] = _record(family, n, x, walked).as_dict()
+                if exact != scanned:
+                    mismatch["scan"] = _record(family, n, x, scanned).as_dict()
                 mismatches.append(mismatch)
     return StrategyEquivalenceReport(
         tuple(str(f) for f in specs), n_to, checked, tuple(mismatches)

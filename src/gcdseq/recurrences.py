@@ -46,10 +46,14 @@ class _RecurrenceCache:
         pos = n - self._first
         if pos >= len(self._terms):
             with self._lock:
-                while len(self._terms) <= pos:
-                    nxt = self._first + len(self._terms)
-                    self._terms.append(self._step(nxt, self._terms))
+                self._grow(pos)
         return self._terms[pos]
+
+    def _grow(self, pos):
+        """Append terms until position ``pos`` is held; the caller holds the lock."""
+        while len(self._terms) <= pos:
+            nxt = self._first + len(self._terms)
+            self._terms.append(self._step(nxt, self._terms))
 
 
 _b_cache = _RecurrenceCache(

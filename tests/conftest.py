@@ -1,11 +1,13 @@
 import os
 import sys
+from unittest import mock
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 from gcdseq.conjectures import verify_pair_identities, verify_symmetry  # noqa: E402
+from gcdseq import families  # noqa: E402
 from gcdseq.families import MAIN  # noqa: E402
 
 
@@ -22,3 +24,11 @@ def symmetry_main_2000():
 @pytest.fixture(scope="session")
 def pairs_main_2000():
     return verify_pair_identities(MAIN, 2000)
+
+
+@pytest.fixture
+def fresh_columns():
+    """Empty residue columns for one test, so the terms it scans are walked
+    inside it; the process's columns come back, untouched, after it."""
+    with mock.patch.dict(families._COLUMNS, clear=True):
+        yield

@@ -10,6 +10,7 @@ from gcdseq.conjectures import (
 )
 from gcdseq.errors import UnsupportedFamily
 from gcdseq.families import MAIN, ROWLAND, linear, numerator, quadratic, scan, term
+from gcdseq.primality import Verdict, is_prime
 
 from expected_terms import PAIR_GCD_COUNTEREXAMPLES_2000
 
@@ -83,6 +84,18 @@ def test_primes_or_one_sees_composites():
 def test_primes_or_one_linear4_unique_composite():
     report = verify_primes_or_one(linear(4), 500)
     assert report.composites == ((4, 4),)
+
+
+def test_primes_or_one_counts_probable_primes_above_two_to_the_64():
+    # every x of quad:2**64 is above 2**64, so a prime term is a BPSW
+    # probable prime exactly when a >= 2**64
+    family = quadratic(2**64)
+    report = verify_primes_or_one(family, 40)
+    assert (report.terms, report.ones, report.primes, len(report.composites),
+            report.probable_primes) == (40, 0, 9, 31, 6)
+    assert not report.clean
+    assert report.probable_primes == sum(
+        is_prime(rec.a).verdict is Verdict.PROBABLE_PRIME for rec in scan(family, 3, 42))
 
 
 def test_primes_or_one_rejects_rowland():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -440,20 +442,21 @@ def test_scan_matches_exact_records(family_text, offset, width):
         term(family, n, Strategy.EXACT_BIGINT) for n in range(n_from, n_to + 1)]
 
 
-def test_scan_walks_near_the_start_and_factors_far_out():
+def test_scan_walks_near_the_start_and_factors_far_out(fresh_columns):
     def refuse(*args):
         raise AssertionError("took the other route")
 
-    with mock.patch.object(families, "factor", refuse):
-        assert len(list(scan(MAIN, 103, 203))) == 101  # n_from - 3 = n_to - n_from
+    # main's column is empty, so it ends at n = 2
     with mock.patch.object(_backend, "LeftFactorials", refuse):
         assert len(list(scan(MAIN, 104, 203))) == 100  # n_from - 3 > n_to - n_from
+    with mock.patch.object(families, "factor", refuse):
+        assert len(list(scan(MAIN, 103, 203))) == 101  # n_from - 3 = n_to - n_from
     with mock.patch.object(_backend, "b_mod_pair", wraps=_backend.b_mod_pair) as spy:
         list(scan(linear(3), 3, 6))
     assert [c.args[0] for c in spy.call_args_list] == [1, 2, 3, 4]  # linear t = n - 2
 
 
-def test_strategy_equivalence_lists_a_scan_mismatch():
+def test_strategy_equivalence_lists_a_scan_mismatch(fresh_columns):
     real = _backend.b_mod_pair
 
     def one_wrong(t, x, walk):  # only the walk route reads b_mod_pair
@@ -497,11 +500,134 @@ def test_strategy_equivalence_refuses_rowland():
         verify_strategy_equivalence([ROWLAND], 10)
 
 
-def test_factorial_replacement_walks_its_partner_side():
+def test_factorial_replacement_walks_its_partner_side(fresh_columns):
     with mock.patch.object(_backend, "LeftFactorials", wraps=_backend.LeftFactorials) as spy:
-        assert verify_factorial_replacement(3, 200).clean
-        # far out: the factor route per n, no walk
-        assert verify_factorial_replacement(150, 160).clean
+        assert verify_factorial_replacement(3, 200).clean  # fills main's column
+        assert verify_factorial_replacement(150, 160).clean  # reads it
+        # far past the column's end: the factor route per n, no walk
         assert verify_factorial_replacement(5000, 5010).clean
         assert verify_factorial_replacement(4090, 4110).clean  # across the table's end
     assert spy.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# the residue column: one per partner form per process
+# ---------------------------------------------------------------------------
+
+COLUMN_FAMILIES = ["main", *(f"quad:{k}" for k in range(2, 6)),
+                   *(f"linear:{k}" for k in range(1, 6))]
+
+
+def walked_records(family, n_to):
+    """The records of first_index..n_to from one fresh walk over them all."""
+    walk = families._walk(family, family.first_index, n_to)
+    records = []
+    for n in range(family.first_index, n_to + 1):
+        x, t, c, e = families._definition(family, n)
+        records.append(families._record(family, n, x, families._partner_residue(x, t, c, e, walk)))
+    return records
+
+
+# ranges as (n_from - first_index, n_to - n_from); main's t is n - 3 and
+# linear's is n - 2, so main's column ends at t = 64j - 1 when n = 64j + 2
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(COLUMN_FAMILIES),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=700),
+                          st.integers(min_value=0, max_value=200)), min_size=1, max_size=6))
+@example("main", [(0, 40), (41, 22), (64, 0), (65, 100), (30, 10)])  # mid-block, at 64j
+@example("linear:2", [(10, 30), (45, 40), (300, 5), (87, 300)])  # a gap, a far start
+@example("quad:3", [(100, 50), (0, 127), (128, 0), (129, 62)])  # far first, then from 0
+def test_column_extensions_match_a_fresh_walk_and_term(family_text, ranges):
+    family = FamilySpec.parse(family_text)
+    with (mock.patch.dict(families._COLUMNS, clear=True),
+          mock.patch.object(_backend, "LeftFactorials", wraps=_backend.LeftFactorials) as walks):
+        scanned = [list(scan(family, family.first_index + offset,
+                             family.first_index + offset + width)) for offset, width in ranges]
+        column = families._column(family)
+    assert walks.call_count <= 1  # extended, never walked again from t = 0
+    assert not column.sealed
+    fresh = walked_records(family, max(recs[-1].n for recs in scanned))
+    for recs in scanned:
+        assert recs == fresh[recs[0].n - family.first_index:recs[-1].n - family.first_index + 1]
+        assert recs == [term(family, rec.n) for rec in recs]
+    assert list(column.residues(family.first_index, column.high_water)) == [
+        rec.y_mod_x for rec in fresh[:column.high_water - family.first_index + 1]]
+
+
+def test_main_and_quad_one_share_a_column(fresh_columns):
+    assert families._column(MAIN) is families._column(quadratic(1))
+    assert families._column(quadratic(2)) is not families._column(MAIN)
+    main = list(scan(MAIN, 3, 90))
+    with mock.patch.object(_backend, "b_mod_pair", side_effect=AssertionError("walked")):
+        quad = list(scan(quadratic(1), 3, 90))
+    assert [rec.as_dict() | {"family": "main"} for rec in quad] == [r.as_dict() for r in main]
+
+
+def test_far_start_is_measured_from_the_columns_end(fresh_columns):
+    def refuse(*args):
+        raise AssertionError("took the other route")
+
+    column = families._column(MAIN)
+    assert len(list(scan(MAIN, 3, 203))) == 201
+    assert column.high_water == 203
+    with (mock.patch.object(_backend, "LeftFactorials", refuse),
+          mock.patch.object(_backend, "b_mod_pair", refuse)):
+        # 305 - 204 > 404 - 305: the factor route, and the column stays as it is
+        assert list(scan(MAIN, 305, 404)) == [term(MAIN, n) for n in range(305, 405)]
+    assert column.high_water == 203
+    with (mock.patch.object(_backend, "LeftFactorials", refuse),
+          mock.patch.object(families, "factor", refuse)):
+        # 304 - 204 = 404 - 304: the walk goes on from n = 204, never from t = 0
+        assert len(list(scan(MAIN, 304, 404))) == 101
+        assert len(list(scan(MAIN, 3, 404))) == 402  # all read from the column
+    assert column.high_water == 404
+
+
+@pytest.mark.parametrize("k, end", [(2**64, 2), (2**62, 4)])
+def test_column_stops_below_two_to_the_64(fresh_columns, k, end):
+    # quad:2**64 has y = k = 2**64 at n = 3, and quad:2**62 has y mod x =
+    # 4k = 2**64 at n = 5; each later term takes a walk of its own per scan
+    family = quadratic(k)
+    expected = [term(family, n) for n in range(3, 201)]
+    assert list(scan(family, 3, 200)) == expected
+    column = families._column(family)
+    assert column.sealed and column.high_water == end
+    with mock.patch.object(_backend, "LeftFactorials", wraps=_backend.LeftFactorials) as walks:
+        assert list(scan(family, 3, 200)) == expected
+        assert list(scan(family, 100, 200)) == expected[97:]
+        assert list(scan(family, 150, 200)) == expected[147:]  # far out: factors
+    assert walks.call_count == 2 and column.high_water == end
+
+
+def test_column_concurrent_readers(fresh_columns):
+    # four threads extend main's and linear:2's columns in different strides
+    texts = ("main", "linear:2")
+    expected = {text: walked_records(FamilySpec.parse(text), 1200) for text in texts}
+    mismatches, done = [], []
+
+    def worker(text, stride):
+        family = FamilySpec.parse(text)
+        for n_to in range(3 + stride, 1201, stride):
+            n_from = max(3, n_to - 2 * stride)
+            if list(scan(family, n_from, n_to)) != expected[text][n_from - 3:n_to - 2]:
+                mismatches.append((text, n_from, n_to))
+        done.append(text)
+
+    threads = [threading.Thread(target=worker, args=args)
+               for args in (("main", 5), ("main", 64), ("linear:2", 9), ("linear:2", 63))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == len(threads)
+    assert mismatches == []
+    for text in texts:
+        column = families._column(FamilySpec.parse(text))
+        assert list(column.residues(3, column.high_water)) == [
+            rec.y_mod_x for rec in expected[text][:column.high_water - 2]]

@@ -71,6 +71,20 @@ def test_left_factorial_walk_starting_mid_block():
         assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
 
 
+def test_left_factorial_walk_extends_its_end():
+    # each end cuts a block short (40, 100) or closes one (63, 127); the walk
+    # goes on from the last t asked for, never from t = 0
+    walk = _backend.LeftFactorials(_above_both, 0, 40)
+    for t_to, ts in ((40, (0, 40)), (63, (41, 63)), (100, (64, 99, 100)),
+                     (127, (101, 127)), (300, (128, 200, 300))):
+        walk.extend(t_to)
+        for t in ts:
+            assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
+    walk.extend(250)  # never a smaller end
+    with pytest.raises(ValueError, match="ends at"):
+        walk.at(301, _above_both(301))
+
+
 def test_left_factorial_walk_refuses_to_step_back():
     walk = _backend.LeftFactorials(_above_both, 0, 20)
     walk.at(9, _above_both(9))
