@@ -38,14 +38,14 @@ residue. The routes are:
   once per block of 64 terms, mod the product of the block's moduli 2x, so
   each term reads t! and !t mod 2x, where 2*b(t-1) = (t+1)*!t and
   2*b(t) = (t+2)*(!t + t!). A scan past the column's end extends the walk
-  from where it stopped, so no term is walked twice in a process. Two
-  rules bound the column. A range that starts farther past the column's
-  end than it is long would spend most of its time walking up to it, so
-  it takes the factor route per term and leaves the column as it is. And
-  the column is an ``array('Q')``: the first residue of 2**64 or more
-  seals it, and the terms past its end take a walk of their own per scan,
-  so families with a large k stay exact. A Rowland scan has no partner
-  and reads no column;
+  from where it stopped, so no term is walked twice in a process. A range
+  that starts farther past the column's end than it is long would spend
+  most of its time walking up to it, so it takes the factor route per
+  term and leaves the column as it is. The column is an ``array('Q')``
+  of 8 bytes a residue until the first residue of 2**64 or more, which
+  only families with a large k reach; then it widens to a list of ints
+  and goes on growing, so those families stay exact. A Rowland scan has
+  no partner and reads no column;
 * factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
   the prime factorisation of x, as follows.
 
@@ -86,11 +86,8 @@ from typing import Iterator
 from . import _backend
 from .bfile import read_int
 from .errors import EmptyRange, IndexBelowDomain, UnsupportedFamily
-from .primality import Verdict, factor, is_prime
+from .primality import _U64, Verdict, factor, is_prime
 from .recurrences import _RecurrenceCache, b, rowland_diff
-
-
-_FACTOR_LIMIT = 1 << 64  # primality.factor is exact below this
 
 
 class Kind(Enum):
@@ -274,20 +271,15 @@ def _factorial_mod_prime_power(t: int, p: int, e: int) -> int:
     return _backend.factorial_mod(t, p**e)
 
 
-def _partner_residue(x: int, t: int, c: int, e: int, walk=None) -> int:
-    """The gcd partner c*b(t) + e*b(t-1) mod its numerator x, never materialized.
-
-    With a ``walk`` (``_backend.LeftFactorials`` from ``_walk``, at or
-    below this t) b(t-1) and b(t) mod x come from its t! and !t mod 2x.
-    Without one the factor route gives t! mod 2x (module docstring).
+def _partner_residue(x: int, t: int, c: int, e: int) -> int:
+    """The gcd partner c*b(t) + e*b(t-1) mod its numerator x, never
+    materialized, by the factor route: t! mod 2x from the prime
+    factorisation of x (module docstring).
     """
-    if walk is not None:
-        b_prev, b_cur = _backend.b_mod_pair(t, x, walk)  # b(t-1), b(t)
-        return (c * b_cur + e * b_prev) % x
     if t < 2:  # !t = t and t! = 1
         return (x * t + c * (t + 2)) // 2 % x
     m = 2 * x
-    if x >= _FACTOR_LIMIT:
+    if x >= _U64:  # factor() is exact below this
         f = _backend.factorial_mod(t, m)
     else:
         powers = factor(x)
@@ -325,50 +317,45 @@ def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST)
     return _term(family, n, strategy)
 
 
-def _walk(family: FamilySpec, n_from: int, n_to: int):
-    """A fresh ``LeftFactorials`` walk for an ascending run over n_from..n_to."""
-    form = _form(family)
-    shift = n_from - form(n_from)[1]  # n - t, the same for every n
-
-    def modulus(t):
-        return 2 * form(t + shift)[0]
-    return _backend.LeftFactorials(modulus, n_from - shift, n_to - shift)
-
-
 class _ResidueColumn(_RecurrenceCache):
     """The partner residues y mod x of one partner form, n = 3, 4, ...
 
     It grows as every ``_RecurrenceCache`` does, under its lock, into an
-    ``array('Q')``. Each step is one ``_partner_residue`` read from a single
-    ``LeftFactorials`` walk, which ``reach`` extends to the new end first,
-    so the walk resumes where the column ends and no term is walked twice.
-    The first residue of 2**64 or more seals the column for good.
+    ``array('Q')``. Each step reads b(t-1) and b(t) mod x from a single
+    ``LeftFactorials`` walk, which ``reach`` builds on the first extension
+    and extends to the new end after, so the walk resumes where the column
+    ends and no term is walked twice. The first residue of 2**64 or more
+    widens the array to a list, and the column goes on growing.
     """
 
     def __init__(self, family: FamilySpec):
-        self._family, self._form = family, _form(family)
-        self._walk, self.sealed = None, False
+        self._form, self._walk = _form(family), None
         super().__init__(family.first_index, (), self._residue)
         self._terms = array("Q")  # 8 bytes a residue, in place of the list
 
     def _residue(self, n, terms):
-        return _partner_residue(*self._form(n), self._walk)
+        x, t, c, e = self._form(n)
+        b_prev, b_cur = _backend.b_mod_pair(t, x, self._walk)  # b(t-1), b(t)
+        return (c * b_cur + e * b_prev) % x
 
-    def reach(self, n: int) -> int:
-        """Hold every residue up to index n, unless sealed below it; return
-        the index of the last residue held."""
-        if n > self.high_water and not self.sealed:
+    def reach(self, n: int):
+        """Hold every residue up to index n."""
+        if n > self.high_water:
             with self._lock:
-                if n > self.high_water and not self.sealed:
+                if n > self.high_water:
+                    t_to = self._form(n)[1]
                     if self._walk is None:
-                        self._walk = _walk(self._family, self._first, n)
+                        shift = n - t_to  # n - t, the same for every n
+                        self._walk = _backend.LeftFactorials(
+                            lambda t: 2 * self._form(t + shift)[0], self._first - shift, t_to)
                     else:
-                        self._walk.extend(self._form(n)[1])
+                        self._walk.extend(t_to)
                     try:
                         self._grow(n - self._first)
                     except OverflowError:  # a residue of 2**64 or more
-                        self.sealed, self._walk = True, None
-        return self.high_water
+                        # widen; the walk is still at this t, so it reads it again
+                        self._terms = list(self._terms)
+                        self._grow(n - self._first)
 
     def residues(self, n_from: int, n_to: int):
         """The residues held for n_from..n_to."""
@@ -393,8 +380,7 @@ def _residues(family: FamilySpec, n_from: int, n_to: int) -> Iterator[tuple]:
 
     A range that starts farther past the column's end than it is long takes
     the factor route per term and leaves the column as it is. Any other
-    range extends the column to n_to and reads it; past a sealed column's
-    end the range takes a walk of its own.
+    range extends the column to n_to and reads it.
     """
     column, form = _column(family), _form(family)
     if n_from - column.high_water - 1 > n_to - n_from:
@@ -402,15 +388,9 @@ def _residues(family: FamilySpec, n_from: int, n_to: int) -> Iterator[tuple]:
             definition = form(n)
             yield n, definition, _partner_residue(*definition)
         return
-    end = min(column.reach(n_to), n_to)
-    for n, y in zip(range(n_from, end + 1), column.residues(n_from, end)):
+    column.reach(n_to)
+    for n, y in zip(range(n_from, n_to + 1), column.residues(n_from, n_to)):
         yield n, form(n), y
-    if end < n_to:
-        lo = max(n_from, end + 1)
-        walk = _walk(family, lo, n_to)
-        for n in range(lo, n_to + 1):
-            definition = form(n)
-            yield n, definition, _partner_residue(*definition, walk)
 
 
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
@@ -483,11 +463,11 @@ def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
     """Recompute every term's partner residue by each route and compare them.
 
     Per term, the exact residue ``gcd_partner % x`` and the factor route's
-    ``_partner_residue`` are compared with the residue a scan reads, from
-    the family's column (or, past a sealed column, its own walk). This is
-    the record-for-record check: on every route x comes from ``_form``,
-    and d, a and the class are functions of (x, y_mod_x) through
-    ``_record``, so two records are equal exactly when their residues are.
+    ``_partner_residue`` are compared with the residue a scan reads from
+    the family's column. This is the record-for-record check: on every
+    route x comes from ``_form``, and d, a and the class are functions of
+    (x, y_mod_x) through ``_record``, so two records are equal exactly
+    when their residues are.
     A mismatch lists the exact and modular records, and the scanned one
     under ``"scan"`` when that is the one that differs.
     Rowland has no partner, so it raises ``UnsupportedFamily``.

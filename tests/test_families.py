@@ -475,9 +475,9 @@ def test_strategy_equivalence_lists_a_scan_mismatch(fresh_columns):
 def test_strategy_equivalence_lists_a_factor_route_mismatch():
     real = families._partner_residue
 
-    def one_wrong(x, t, c, e, walk=None):
-        r = real(x, t, c, e, walk)
-        return r + 1 if walk is None and t == 4 else r
+    def one_wrong(x, t, c, e):
+        r = real(x, t, c, e)
+        return r + 1 if t == 4 else r
 
     with mock.patch.object(families, "_partner_residue", one_wrong):
         report = verify_strategy_equivalence([MAIN], 12)
@@ -514,17 +514,23 @@ def test_factorial_replacement_walks_its_partner_side(fresh_columns):
 # the residue column: one per partner form per process
 # ---------------------------------------------------------------------------
 
+# quad:2**62 widens its column from an array('Q') to a list at n = 5
 COLUMN_FAMILIES = ["main", *(f"quad:{k}" for k in range(2, 6)),
-                   *(f"linear:{k}" for k in range(1, 6))]
+                   *(f"linear:{k}" for k in range(1, 6)), "quad:4611686018427387904"]
 
 
 def walked_records(family, n_to):
-    """The records of first_index..n_to from one fresh walk over them all."""
-    walk = families._walk(family, family.first_index, n_to)
+    """The records of first_index..n_to from one fresh walk over them all,
+    built here from ``LeftFactorials`` and ``b_mod_pair``, not by a column."""
+    first = family.first_index
+    shift = first - families._definition(family, first)[1]  # n - t
+    walk = _backend.LeftFactorials(
+        lambda t: 2 * families._definition(family, t + shift)[0], first - shift, n_to - shift)
     records = []
-    for n in range(family.first_index, n_to + 1):
+    for n in range(first, n_to + 1):
         x, t, c, e = families._definition(family, n)
-        records.append(families._record(family, n, x, families._partner_residue(x, t, c, e, walk)))
+        b_prev, b_cur = _backend.b_mod_pair(t, x, walk)
+        records.append(families._record(family, n, x, (c * b_cur + e * b_prev) % x))
     return records
 
 
@@ -545,13 +551,14 @@ def test_column_extensions_match_a_fresh_walk_and_term(family_text, ranges):
                              family.first_index + offset + width)) for offset, width in ranges]
         column = families._column(family)
     assert walks.call_count <= 1  # extended, never walked again from t = 0
-    assert not column.sealed
     fresh = walked_records(family, max(recs[-1].n for recs in scanned))
     for recs in scanned:
         assert recs == fresh[recs[0].n - family.first_index:recs[-1].n - family.first_index + 1]
         assert recs == [term(family, rec.n) for rec in recs]
-    assert list(column.residues(family.first_index, column.high_water)) == [
-        rec.y_mod_x for rec in fresh[:column.high_water - family.first_index + 1]]
+    held = list(column.residues(family.first_index, column.high_water))
+    assert held == [rec.y_mod_x for rec in fresh[:column.high_water - family.first_index + 1]]
+    # an array('Q') until a residue needs more than 64 bits
+    assert isinstance(column._terms, list) == any(y >= 2**64 for y in held)
 
 
 def test_main_and_quad_one_share_a_column(fresh_columns):
@@ -584,24 +591,30 @@ def test_far_start_is_measured_from_the_columns_end(fresh_columns):
 
 
 @pytest.mark.parametrize("k, end", [(2**64, 2), (2**62, 4)])
-def test_column_stops_below_two_to_the_64(fresh_columns, k, end):
+def test_column_widens_past_two_to_the_64(fresh_columns, k, end):
     # quad:2**64 has y = k = 2**64 at n = 3, and quad:2**62 has y mod x =
-    # 4k = 2**64 at n = 5; each later term takes a walk of its own per scan
+    # 4k = 2**64 at n = 5; the column widens to a list there and goes on
+    def refuse(*args):
+        raise AssertionError("walked again")
+
     family = quadratic(k)
     expected = [term(family, n) for n in range(3, 201)]
     assert list(scan(family, 3, 200)) == expected
     column = families._column(family)
-    assert column.sealed and column.high_water == end
-    with mock.patch.object(_backend, "LeftFactorials", wraps=_backend.LeftFactorials) as walks:
+    assert column.high_water == 200
+    assert max(column.residues(3, end), default=0) < 2**64 <= column.residues(end + 1, end + 1)[0]
+    with (mock.patch.object(_backend, "LeftFactorials", refuse),
+          mock.patch.object(_backend, "b_mod_pair", refuse)):
         assert list(scan(family, 3, 200)) == expected
         assert list(scan(family, 100, 200)) == expected[97:]
-        assert list(scan(family, 150, 200)) == expected[147:]  # far out: factors
-    assert walks.call_count == 2 and column.high_water == end
+        assert list(scan(family, 150, 200)) == expected[147:]
+    assert column.high_water == 200
 
 
 def test_column_concurrent_readers(fresh_columns):
-    # four threads extend main's and linear:2's columns in different strides
-    texts = ("main", "linear:2")
+    # six threads extend main's, linear:2's and quad:2**62's columns in
+    # different strides; quad:2**62's widens from an array to a list at n = 5
+    texts = ("main", "linear:2", "quad:4611686018427387904")
     expected = {text: walked_records(FamilySpec.parse(text), 1200) for text in texts}
     mismatches, done = [], []
 
@@ -614,7 +627,8 @@ def test_column_concurrent_readers(fresh_columns):
         done.append(text)
 
     threads = [threading.Thread(target=worker, args=args)
-               for args in (("main", 5), ("main", 64), ("linear:2", 9), ("linear:2", 63))]
+               for args in (("main", 5), ("main", 64), ("linear:2", 9), ("linear:2", 63),
+                            (texts[2], 2), (texts[2], 61))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
