@@ -202,7 +202,11 @@ def _suite_theorem1(o):
     rng = random.Random(o.seed)
     checked = 0
     failures = []
+    row_failures = []
     for n in indices:
+        (eq1,) = contfrac.closed_forms(contfrac.Scheme.T1, n)
+        if not eq1.row_identity():
+            row_failures.append(n)
         done = attempts = 0
         while done < o.trials and attempts < o.trials * 20:
             attempts += 1
@@ -210,28 +214,27 @@ def _suite_theorem1(o):
             if m == 0:
                 continue
             try:
-                report = contfrac.verify_theorem(contfrac.Scheme.T1, n, m)
+                cf = contfrac.eval_cf(contfrac.cf_spec(contfrac.Scheme.T1, n, m))
+                equal = eq1.equals(cf, m)
             except ZeroDenominator:
                 continue
             done += 1
             checked += 1
-            value, equal = report.form("eq1")
             if not equal:
-                failures.append(
-                    {"n": n, "m": m, "cf": str(report.cf_value), "eq1": str(value)}
-                )
+                failures.append({"n": n, "m": m, "cf": str(cf), "eq1": str(eq1.value(m))})
     eq5_failures = []
     for n in range(3, o.eq5_max + 1):
         _, form2 = contfrac.elimination_chain(contfrac.Scheme.T1, n)
         if (form2.alpha, form2.beta) != (b(n - 3), -n * b(n - 4)):
             eq5_failures.append(n)
-    clean = not failures and not eq5_failures
+    clean = not failures and not row_failures and not eq5_failures
     return {
         "n_max": o.to,
         "trials_per_n": o.trials,
         "seed": o.seed,
         "checked": checked,
         "cf_mismatches": failures,
+        "eq1_row_failures": row_failures,
         "eq5_n_max": o.eq5_max,
         "eq5_failures": eq5_failures,
     }, clean
@@ -241,20 +244,25 @@ def _suite_theorem2(o):
     indices = _identity_indices(o.to)
     if o.m_min > o.m_max:
         raise EmptyRange(f"empty m range {o.m_min}..{o.m_max}")
-    combos = skipped = printed_matches = 0
+    combos = skipped = printed_matches = printed_rows = 0
     derived_failures = []
+    derived_row_failures = []
     for n in indices:
+        printed, derived = contfrac.closed_forms(contfrac.Scheme.T2, n)
+        printed_rows += printed.row_identity()
+        if not derived.row_identity():
+            derived_row_failures.append(n)
         for m in range(o.m_min, o.m_max + 1):
             try:
-                report = contfrac.verify_theorem(contfrac.Scheme.T2, n, m)
+                cf = contfrac.eval_cf(contfrac.cf_spec(contfrac.Scheme.T2, n, m))
+                printed_equal = printed.equals(cf, m)
+                derived_equal = derived.equals(cf, m)
             except ZeroDenominator:
                 skipped += 1
                 continue
             combos += 1
-            _, derived_equal = report.form("derived")
-            _, printed_equal = report.form("printed")
             if not derived_equal:
-                derived_failures.append({"n": n, "m": m, "cf": str(report.cf_value)})
+                derived_failures.append({"n": n, "m": m, "cf": str(cf)})
             if printed_equal:
                 printed_matches += 1
     if combos == 0:
@@ -263,7 +271,7 @@ def _suite_theorem2(o):
     lf_failures = [
         n for n in range(0, o.lf_max + 1) if b(n) != b_via_left_factorial(n)
     ]
-    clean = not derived_failures and not lf_failures
+    clean = not derived_failures and not derived_row_failures and not lf_failures
     return {
         "n_max": o.to,
         "m_range": [o.m_min, o.m_max],
@@ -272,6 +280,8 @@ def _suite_theorem2(o):
         "derived_failures": derived_failures,
         "printed_matches": printed_matches,
         "printed_mismatches": combos - printed_matches,
+        "derived_row_failures": derived_row_failures,
+        "printed_row_matches": printed_rows,
         "left_factorial_n_max": o.lf_max,
         "left_factorial_failures": lf_failures,
     }, clean

@@ -57,8 +57,8 @@ sum 1. As x(0) = x(1) = -1 and x(2) = x(p-1) = 1 (mod p), neither root is
 r + r' = p + 1, and the indices n < p with p | x(n) are exactly r and
 p + 1 - r. So every prime p ending in 1 or 9 occurs exactly twice, at n and
 m = p + 1 - n, and p = n + m - 1; every other prime but 5 never occurs.
-(The smaller index is at most (p+1)/2, so each such p occurs by then;
-``CoverageReport.sound_bound`` still reports the weaker n_max + 1.)
+The smaller index is at most (p+1)/2, so a scan to n_max meets every such
+p <= 2*n_max - 1: that is ``CoverageReport.sound_bound``.
 """
 
 from __future__ import annotations
@@ -320,9 +320,9 @@ def verify_triple_rule_a2(count: int) -> TripleRuleReport:
 class CoverageReport:
     """Primes ending in 1 or 9 that the scanned main-sequence prefix missed.
 
-    ``sound_bound`` is the largest value bound for which absence is
-    conclusive: every non-one term satisfies a(n) > n, so a value p can only
-    appear at indices n < p, all of which were scanned when p <= n_max + 1.
+    ``sound_bound`` is a value bound up to which absence is conclusive: each
+    prime p ending in 1 or 9 occurs at two indices n and p + 1 - n, the
+    smaller at most (p+1)/2, which the scan reached when p <= 2*n_max - 1.
     """
 
     n_max: int
@@ -343,4 +343,4 @@ def prime_coverage(n_max: int, bound: int) -> CoverageReport:
                   if p % 10 in (1, 9) and is_prime(p).verdict is Verdict.PRIME]
     missing = tuple(p for p in candidates if p not in seen)
     return CoverageReport(n_max, bound, len(candidates), len(candidates) - len(missing),
-                          missing, n_max + 1)
+                          missing, 2 * n_max - 1)

@@ -46,8 +46,41 @@ Elimination. The relations a_j = c_j a_{j+1} - p_j a_{j+2} give
 (a_1, a_2) = P_K (a_{K+1}, a_{K+2}): the rows of P_K are the forms of a_1 and
 a_2, and the fraction is a_2/a_1 at (a_{K+1}, a_{K+2}) = (m, 1).
 
-Arithmetic is exact throughout: integers, one normalisation into the
-``fractions.Fraction`` that ``eval_cf`` returns, and ``Fraction`` closed forms.
+Closed forms. Each closed form is p(m)/q(m) with p = p1 m + p0 and
+q = q1 m + q0, kept as its coefficient rows at n (``closed_forms``), read once
+per n:
+- eq1 is (b(n-3), -n b(n-4)) over (n-1, -n(n-2));
+- the printed T2 form is (2b(n-3), -2n b(n-4)) over (n, -n(n-1));
+- the derived T2 form is (!(n-1), -2b(n-3)) over (1, -(n-1)).
+A form is compared with the value v = ``eval_cf`` returns by one
+cross-multiplication, v.numerator q(m) == v.denominator p(m). That is exact:
+q(m) != 0 (a zero raises ZeroDenominator first), and the denominator of the
+normalised v is positive, so the two sides are equal exactly when
+v = p(m)/q(m). A closed form's own ``Fraction`` is built only where its value
+is printed.
+
+Row identity. With near = (x, x') and far = (y, y') the rows of P_K, a form
+equals D/N = (y m + y')/(x m + x') for every m exactly when D q = N p as
+polynomials in m, one equality per power: y q1 = x p1,
+y q0 + y' q1 = x p0 + x' p1 and y' q0 = x' p0. The rows of P_K are
+(x_K, -p_K x_{K-1}) and (y_K, -p_K y_{K-1}), and by induction on
+col_k = c_k col_{k-1} - p_{k-1} col_{k-2} from col_0 and col_1:
+- T1 has x_k = k+1, since (k+1)(k - (k-1)) = k+1, and y_k = b(k-1), since
+  y_k = (k+1)(y_{k-1} - y_{k-2}) is b's own recurrence, from y_0 = b(-1) = 0
+  and y_1 = b(0) = 1. With K = n-2 and p_K = n the rows are eq1's q and p.
+- T2 has x_k = 1, since k - (k-1) = 1, and y_k = !k, since
+  k !(k-1) - (k-1) !(k-2) = !(k-1) + (k-1)(k-2)! = !(k-1) + (k-1)! = !k,
+  from y_0 = !0 = 0 and y_1 = !1 = 1. With K = n-1 and p_K = n-1 the rows
+  are (1, -(n-1)) and (!(n-1), -(n-1) !(n-2)), and (n-1) !(n-2) = 2b(n-3):
+  the derived form's q and p.
+So eq1 and the derived form hold for every n >= 3 and every m away from the
+zero levels. Against the T2 rows, the printed form's last equality would
+need b(n-3) = b(n-4), which fails for every n >= 3, as b(t) = (t+2) !(t+1)/2
+increases with t. The identity suites still check the three equalities at
+every n.
+
+Arithmetic is exact throughout: integers, and one normalisation into the
+``fractions.Fraction`` that ``eval_cf`` returns.
 """
 
 from __future__ import annotations
@@ -177,34 +210,71 @@ def eval_cf(spec: CFSpec) -> Fraction:
     return Fraction(den, num)
 
 
-def theorem1_closed_form(n: int, m: int) -> Fraction:
-    """(m*b(n-3) - n*b(n-4)) / (n*(m-n+2) - m)."""
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed form of ``scheme`` at ``n`` as coefficient rows: p(m)/q(m)
+    with p = p1*m + p0 and q = q1*m + q0. ``zero`` names q as printed."""
+
+    name: str
+    scheme: Scheme
+    n: int
+    p: tuple[int, int]
+    q: tuple[int, int]
+    zero: str
+
+    def _q(self, m):
+        q = self.q[0] * m + self.q[1]
+        if q == 0:
+            raise ZeroDenominator(f"{self.zero} = 0 at n={self.n}, m={m}", where=self.name)
+        return q
+
+    def value(self, m: int) -> Fraction:
+        return Fraction(self.p[0] * m + self.p[1], self._q(m))
+
+    def equals(self, value: Fraction, m: int) -> bool:
+        """value == p(m)/q(m), by one cross-multiplication."""
+        q = self._q(m)
+        return value.numerator * q == value.denominator * (self.p[0] * m + self.p[1])
+
+    def row_identity(self) -> bool:
+        """Whether p/q = D/N as rational functions of m: D*q = N*p, one
+        equality per power of m, with N and D the rows of P_K."""
+        (x, x1), (y, y1) = _TABLES[self.scheme].prefix(self.scheme.depth(self.n))
+        (p1, p0), (q1, q0) = self.p, self.q
+        return (y * q1 == x * p1 and y * q0 + y1 * q1 == x * p0 + x1 * p1
+                and y1 * q0 == x1 * p0)
+
+
+def closed_forms(scheme: Scheme, n: int) -> tuple[ClosedForm, ...]:
+    """The closed forms registered for ``scheme``, as rows at ``n``: eq1 for
+    T1, the printed and the derived form for T2."""
     if n < 3:
         raise IndexBelowDomain(f"defined for n >= 3, got {n}")
-    den = n * (m - n + 2) - m
-    if den == 0:
-        raise ZeroDenominator(f"n(m-n+2)-m = 0 at n={n}, m={m}", where="eq1")
-    return Fraction(m * b(n - 3) - n * b(n - 4), den)
+    if scheme is Scheme.T1:
+        return (ClosedForm("eq1", scheme, n, (b(n - 3), -n * b(n - 4)),
+                           (n - 1, -n * (n - 2)), "n(m-n+2)-m"),)
+    b3 = b(n - 3)
+    return (
+        ClosedForm("printed", scheme, n, (2 * b3, -2 * n * b(n - 4)),
+                   (n, -n * (n - 1)), "n(m-n+1)"),
+        ClosedForm("derived", scheme, n, (left_factorial(n - 1), -2 * b3),
+                   (1, -(n - 1)), "m-n+1"),
+    )
+
+
+def theorem1_closed_form(n: int, m: int) -> Fraction:
+    """(m*b(n-3) - n*b(n-4)) / (n*(m-n+2) - m)."""
+    return closed_forms(Scheme.T1, n)[0].value(m)
 
 
 def theorem2_closed_form(n: int, m: int) -> Fraction:
     """The printed T2 right side: 2*(m*b(n-3) - n*b(n-4)) / (n*(m-n+1))."""
-    if n < 3:
-        raise IndexBelowDomain(f"defined for n >= 3, got {n}")
-    den = n * (m - n + 1)
-    if den == 0:
-        raise ZeroDenominator(f"n(m-n+1) = 0 at n={n}, m={m}", where="printed")
-    return Fraction(2 * (m * b(n - 3) - n * b(n - 4)), den)
+    return closed_forms(Scheme.T2, n)[0].value(m)
 
 
 def theorem2_derived_form(n: int, m: int) -> Fraction:
     """The elimination-backed T2 right side: (m*!(n-1) - 2*b(n-3)) / (m-n+1)."""
-    if n < 3:
-        raise IndexBelowDomain(f"defined for n >= 3, got {n}")
-    den = m - n + 1
-    if den == 0:
-        raise ZeroDenominator(f"m-n+1 = 0 at n={n}, m={m}", where="derived")
-    return Fraction(m * left_factorial(n - 1) - 2 * b(n - 3), den)
+    return closed_forms(Scheme.T2, n)[1].value(m)
 
 
 @dataclass(frozen=True)
@@ -284,12 +354,6 @@ class TheoremReport:
 def verify_theorem(scheme: Scheme, n: int, m: int) -> TheoremReport:
     """Evaluate the fraction and compare it with every registered closed form."""
     cf_value = eval_cf(cf_spec(scheme, n, m))
-    if scheme is Scheme.T1:
-        registered = (("eq1", theorem1_closed_form),)
-    else:
-        registered = (("printed", theorem2_closed_form), ("derived", theorem2_derived_form))
-    forms = []
-    for name, fn in registered:
-        value = fn(n, m)
-        forms.append((name, value, value == cf_value))
-    return TheoremReport(scheme, n, m, cf_value, tuple(forms))
+    forms = tuple((form.name, form.value(m), form.equals(cf_value, m))
+                  for form in closed_forms(scheme, n))
+    return TheoremReport(scheme, n, m, cf_value, forms)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import gcdseq
-from gcdseq import families
+from gcdseq import contfrac, families
 from gcdseq.cli import main
+from gcdseq.recurrences import b, left_factorial
 
 from expected_terms import LINEAR_PREFIX, MAIN_PREFIX, QUAD_PREFIX, ROWLAND_DIFF_PREFIX
 
@@ -237,6 +239,7 @@ def test_verify_theorem1(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["cf_mismatches"] == [] and report["eq5_failures"] == []
+    assert report["eq1_row_failures"] == []
     assert report["checked"] == 50  # 10 n values x 5 trials
 
 
@@ -248,7 +251,69 @@ def test_verify_theorem2(capsys):
     assert report["derived_failures"] == []
     assert report["printed_matches"] == 0
     assert report["printed_mismatches"] > 0
+    assert report["derived_row_failures"] == []
+    assert report["printed_row_matches"] == 0
     assert report["left_factorial_failures"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem1", "--n-max", "12", "--trials", "5", "--eq5-max", "2", "--seed", "7"),
+    ("theorem2", "--n-max", "9", "--m-min", "-6", "--m-max", "6", "--lf-max", "-1"),
+], ids=["theorem1", "theorem2"])
+def test_identity_suites_evaluate_once_and_build_no_closed_form(monkeypatch, capsys, argv):
+    calls = []
+    evaluate = contfrac.eval_cf
+
+    def spy(spec):
+        calls.append((spec.n, spec.tail))
+        return evaluate(spec)
+
+    def forbidden(*args):
+        raise AssertionError("a clean run builds no closed-form value")
+
+    monkeypatch.setattr(contfrac, "eval_cf", spy)
+    for name in ("theorem1_closed_form", "theorem2_closed_form", "theorem2_derived_form"):
+        monkeypatch.setattr(contfrac, name, forbidden)
+    monkeypatch.setattr(contfrac.ClosedForm, "value", forbidden)
+    code, out, _ = run(capsys, "verify", "--suite", *argv)
+    assert code == 0
+    report = json.loads(out)
+    if argv[0] == "theorem1":
+        # m = 0 is drawn again before any call; no draw hits a zero here
+        assert len(calls) == len(set(calls)) == report["checked"] == 50
+        assert [n for n, _ in calls] == [n for n in range(3, 13) for _ in range(5)]
+    else:
+        assert calls == [(n, m) for n in range(3, 10) for m in range(-6, 7)]
+        assert report["combos"] + report["skipped_zero_denominator"] == len(calls)
+
+
+def test_a_wrong_row_is_reported_with_exact_values(monkeypatch, capsys):
+    # a wrong b(-1) moves eq1's p0 at n = 3 only, a wrong !4 the derived p1
+    # at n = 5 only; each mismatch prints the normalised fractions
+    monkeypatch.setattr(contfrac, "b", lambda k: 1 if k == -1 else b(k))
+    monkeypatch.setattr(contfrac, "left_factorial",
+                        lambda k: left_factorial(k) + (k == 4))
+    code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--n-max", "5",
+                       "--trials", "3", "--eq5-max", "2", "--seed", "7")
+    assert code == 2
+    report = json.loads(out)
+    assert report["clean"] is False and report["eq1_row_failures"] == [3]
+    mismatches = report["cf_mismatches"]
+    assert [entry["n"] for entry in mismatches] == [3, 3, 3]
+    for entry in mismatches:
+        m = entry["m"]
+        assert entry == {"n": 3, "m": m,
+                         "cf": str(contfrac.eval_cf(contfrac.cf_theorem1_spec(3, m))),
+                         "eq1": str(Fraction(m - 3, 3 * (m - 1) - m))}
+
+    code, out, _ = run(capsys, "verify", "--suite", "theorem2", "--n-max", "6",
+                       "--m-min", "-3", "--m-max", "3", "--lf-max", "-1")
+    assert code == 2
+    report = json.loads(out)
+    assert report["derived_row_failures"] == [5]
+    assert report["derived_failures"] == [
+        {"n": 5, "m": m, "cf": str(Fraction(m * 10 - 16, m - 4))}
+        for m in (-3, -2, -1, 2, 3)]
 
 
 def test_verify_eq4(capsys):

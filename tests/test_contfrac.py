@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from fractions import Fraction
@@ -307,6 +308,63 @@ def test_printed_t2_form_never_matches_on_the_grid():
             if printed == cf:
                 matches.append((n, m))
     assert matches == []
+
+
+def _reference_forms(scheme, n, m):
+    """The closed forms as Fraction definitions, in the order they are
+    compared: (name, value), or (name, None) where the denominator is 0."""
+    if scheme is Scheme.T1:
+        rows = [("eq1", m * b(n - 3) - n * b(n - 4), n * (m - n + 2) - m)]
+    else:
+        rows = [("printed", 2 * (m * b(n - 3) - n * b(n - 4)), n * (m - n + 1)),
+                ("derived", m * left_factorial(n - 1) - 2 * b(n - 3), m - n + 1)]
+    return [(name, Fraction(num, den) if den else None) for name, num, den in rows]
+
+
+def test_rows_match_the_fraction_definitions_on_a_grid():
+    public = {"eq1": theorem1_closed_form, "printed": theorem2_closed_form,
+              "derived": theorem2_derived_form}
+    verdicts = 0
+    for scheme in (Scheme.T1, Scheme.T2):
+        for n in range(3, 41):
+            forms = contfrac.closed_forms(scheme, n)
+            for m in range(-30, 31):
+                reference = _reference_forms(scheme, n, m)
+                assert [form.name for form in forms] == [name for name, _ in reference]
+                for name, value in reference:
+                    if value is None:
+                        with pytest.raises(ZeroDenominator) as exc:
+                            public[name](n, m)
+                        assert exc.value.where == name
+                    else:
+                        assert public[name](n, m) == value
+                try:
+                    cf = eval_cf(cf_spec(scheme, n, m))
+                except ZeroDenominator:
+                    continue
+                got = verify_theorem(scheme, n, m).forms
+                assert got == tuple((name, value, value == cf) for name, value in reference)
+                for form, (_, value) in zip(forms, reference):
+                    assert form.equals(cf, m) == (value == cf)
+                    verdicts += 1
+    # T1 skips m = 0; T2 skips m = 0, 1, and n - 1 for n = 3..31
+    assert verdicts == 38 * 60 + 2 * (38 * 59 - 29)
+
+
+def test_row_identity_by_scheme():
+    for n in range(3, 200):
+        (eq1,) = contfrac.closed_forms(Scheme.T1, n)
+        printed, derived = contfrac.closed_forms(Scheme.T2, n)
+        assert eq1.row_identity() and derived.row_identity(), n
+        assert not printed.row_identity(), n
+    (eq1,) = contfrac.closed_forms(Scheme.T1, 9)
+    assert not dataclasses.replace(eq1, p=(eq1.p[0], eq1.p[1] + 1)).row_identity()
+
+
+def test_closed_forms_below_domain():
+    for fn in (theorem1_closed_form, theorem2_closed_form, theorem2_derived_form):
+        with pytest.raises(IndexBelowDomain):
+            fn(2, 5)
 
 
 # ---------------------------------------------------------------------------
