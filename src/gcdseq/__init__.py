@@ -5,26 +5,27 @@ identities they satisfy.
 Scans walk t! and !t a block of 64 terms at a time, and single terms build
 t! mod 2x from the factors of x. Everything runs in pure Python;
 ``backend_name()`` says so, for the stamps of benchmark results.
+
+Start-up: ``import gcdseq`` loads no submodule. Each name in ``__all__``
+but ``__version__`` imports its home module on first access (``gcdseq.MAIN``
+loads ``families``, and with it ``primality`` and ``_backend``), so a program
+pays only for the modules it reads. ``from gcdseq import *`` loads them all.
 """
 
-from ._backend import backend_name
-from .families import (
-    MAIN,
-    ROWLAND,
-    Classification,
-    FamilySpec,
-    Kind,
-    Strategy,
-    TermRecord,
-    linear,
-    quadratic,
-    scan,
-    term,
-)
-from .primality import PrimalityVerdict, Verdict, is_prime
-from .recurrences import b, b_via_left_factorial, left_factorial, rowland_diff, rowland_term
+import importlib
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it
+_HOMES = {
+    "backend_name": "_backend",
+    **dict.fromkeys(("MAIN", "ROWLAND", "Classification", "FamilySpec", "Kind",
+                     "Strategy", "TermRecord", "linear", "quadratic", "scan", "term"),
+                    "families"),
+    **dict.fromkeys(("PrimalityVerdict", "Verdict", "is_prime"), "primality"),
+    **dict.fromkeys(("b", "b_via_left_factorial", "left_factorial", "rowland_diff",
+                     "rowland_term"), "recurrences"),
+}
 
 __all__ = [
     "MAIN",
@@ -49,3 +50,17 @@ __all__ = [
     "scan",
     "term",
 ]
+
+
+def __getattr__(name):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

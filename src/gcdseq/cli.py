@@ -23,7 +23,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 
-from . import analytics, conjectures, contfrac, families
+from . import contfrac
 from .bfile import format_bfile, read_bfile, read_int
 from .errors import (
     BFileParseError,
@@ -59,7 +59,13 @@ def _arg_type(parse):
     return convert
 
 
-_family_arg = _arg_type(families.FamilySpec.parse)
+def _parse_family(text):
+    from . import families
+
+    return families.FamilySpec.parse(text)
+
+
+_family_arg = _arg_type(_parse_family)
 _int_arg = _arg_type(read_int)
 
 
@@ -115,6 +121,8 @@ def _cached_records(family, n_from, n_to, cache_path):
     file order, then fresh ones) through a temporary file and ``os.replace``;
     a run served wholly from a clean cache writes nothing.
     """
+    from . import families
+
     key = str(family)
     cached = {}
     dropped = False
@@ -165,6 +173,8 @@ def cmd_gen(args):
         print("gcdseq gen: error: --offset applies to --format bfile only",
               file=sys.stderr)
         return EXIT_USAGE
+    from . import families
+
     families._check_range(args.family, args.n_from, args.n_to)
     try:
         records = _cached_records(args.family, args.n_from, args.n_to, args.cache)
@@ -191,7 +201,8 @@ def cmd_gen(args):
 
 def _identity_indices(n_max):
     """The n = 3..n_max an identity suite checks; none is a usage error."""
-    families._check_range(families.MAIN, 3, n_max)
+    if n_max < 3:
+        raise EmptyRange(f"empty range 3..{n_max}")
     return range(3, n_max + 1)
 
 
@@ -298,39 +309,69 @@ def _suite_eq4(o):
     return {"n_max": o.to, "rows": rows}, clean
 
 
+def _suite_terms(o):
+    from . import conjectures
+
+    return conjectures.verify_primes_or_one(o.family, o.to)
+
+
+def _suite_symmetry(o):
+    from . import conjectures
+
+    return conjectures.verify_symmetry(o.family, o.to)
+
+
+def _suite_pairs(o):
+    from . import conjectures
+
+    return conjectures.verify_pair_identities(o.family, o.to)
+
+
+def _suite_triple(o):
+    from . import conjectures
+
+    return conjectures.verify_triple_rule_a2(o.to)
+
+
 def _suite_coverage(o):
+    from . import conjectures
+
     bound = o.to + 1 if o.bound is None else o.bound
     if bound < 11:
         raise EmptyRange(f"no candidate prime in 11..{bound}")
     return conjectures.prime_coverage(o.to, bound)
 
 
+def _suite_gcd_replacement(o):
+    from . import families
+
+    return families.verify_factorial_replacement(3, o.to)
+
+
 def _suite_fastpath(o):
+    from . import families
+
     ks = range(1, o.k_max + 1)
     specs = [families.MAIN, *map(families.quadratic, ks), *map(families.linear, ks)]
     return families.verify_strategy_equivalence(specs, o.to)
 
 
-# suite -> (runner, the families its --family may name, the defaults of the
-# other options it reads; giving any other is a usage error). Families None:
-# any family, default main. A runner returns a library report or (body, clean).
+# suite -> (runner, the families its --family may name, by str(family), the
+# defaults of the other options it reads; giving any other is a usage error).
+# Families None: any family, default main; (): no --family. A runner returns
+# a library report or (body, clean).
 _SUITE_RUNNERS = {
-    "terms": (lambda o: conjectures.verify_primes_or_one(o.family, o.to),
-              None, {"to": 10000}),
+    "terms": (_suite_terms, None, {"to": 10000}),
     "theorem1": (_suite_theorem1, (),
                  {"to": 60, "trials": 50, "seed": 20230923, "eq5_max": 200}),
     "theorem2": (_suite_theorem2, (),
                  {"to": 12, "m_min": -20, "m_max": 20, "lf_max": 1000}),
     "eq4": (_suite_eq4, (), {"to": 50}),
-    "symmetry": (lambda o: conjectures.verify_symmetry(o.family, o.to),
-                 None, {"to": 2000}),
-    "pairs": (lambda o: conjectures.verify_pair_identities(o.family, o.to),
-              (families.MAIN,), {"to": 2000}),
-    "triple": (lambda o: conjectures.verify_triple_rule_a2(o.to),
-               (families.quadratic(2),), {"to": 500}),
-    "coverage": (_suite_coverage, (families.MAIN,), {"to": 2000, "bound": None}),
-    "gcd-replacement": (lambda o: families.verify_factorial_replacement(3, o.to),
-                        (families.MAIN,), {"to": 2000}),
+    "symmetry": (_suite_symmetry, None, {"to": 2000}),
+    "pairs": (_suite_pairs, ("main",), {"to": 2000}),
+    "triple": (_suite_triple, ("quad:2",), {"to": 500}),
+    "coverage": (_suite_coverage, ("main",), {"to": 2000, "bound": None}),
+    "gcd-replacement": (_suite_gcd_replacement, ("main",), {"to": 2000}),
     "fastpath": (_suite_fastpath, (), {"to": 1500, "k_max": 5}),
 }
 
@@ -341,7 +382,7 @@ def cmd_verify(args):
     runner, accepted, defaults = _SUITE_RUNNERS[args.suite]
     given = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "suite")}
     family = given.pop("family", None)
-    if family is not None and accepted is not None and family not in accepted:
+    if family is not None and accepted is not None and str(family) not in accepted:
         print(f"gcdseq verify: error: suite {args.suite} does not run "
               f"--family {family}", file=sys.stderr)
         return EXIT_USAGE
@@ -350,8 +391,11 @@ def cmd_verify(args):
         print(f"gcdseq verify: error: suite {args.suite} does not read "
               f"{', '.join(foreign)}", file=sys.stderr)
         return EXIT_USAGE
-    result = runner(argparse.Namespace(family=family or families.MAIN,
-                                       **{**defaults, **given}))
+    if family is None and accepted != ():
+        from . import families
+
+        family = families.MAIN
+    result = runner(argparse.Namespace(family=family, **{**defaults, **given}))
     if isinstance(result, tuple):
         body, clean = result
     else:
@@ -386,6 +430,8 @@ def cmd_cf(args):
 def _agreement(entries, family, offset):
     """(compared, skipped below domain, first divergence) of ``entries`` read
     as term ``index - offset``; comparison stops at the first divergence."""
+    from . import families
+
     compared = skipped = 0
     for index, value in entries:
         n = index - offset
@@ -461,6 +507,8 @@ def cmd_oeis_check(args):
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args):
+    from . import analytics
+
     report = analytics.compare(args.terms)
     print(json.dumps(_jsonable(report), indent=2))
     return EXIT_OK

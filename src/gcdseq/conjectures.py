@@ -57,8 +57,10 @@ sum 1. As x(0) = x(1) = -1 and x(2) = x(p-1) = 1 (mod p), neither root is
 r + r' = p + 1, and the indices n < p with p | x(n) are exactly r and
 p + 1 - r. So every prime p ending in 1 or 9 occurs exactly twice, at n and
 m = p + 1 - n, and p = n + m - 1; every other prime but 5 never occurs.
-The smaller index is at most (p+1)/2, so a scan to n_max meets every such
-p <= 2*n_max - 1: that is ``CoverageReport.sound_bound``.
+The two roots are distinct: r = (p+1)/2 would give 2r - 1 = p, so
+4x(r) = -5 != 0 (mod p) for p != 5. Two distinct indices with sum p + 1
+leave the smaller at most (p-1)/2, so a scan to n_max meets every such
+p <= 2*n_max + 1: that is ``CoverageReport.sound_bound``.
 """
 
 from __future__ import annotations
@@ -321,8 +323,8 @@ class CoverageReport:
     """Primes ending in 1 or 9 that the scanned main-sequence prefix missed.
 
     ``sound_bound`` is a value bound up to which absence is conclusive: each
-    prime p ending in 1 or 9 occurs at two indices n and p + 1 - n, the
-    smaller at most (p+1)/2, which the scan reached when p <= 2*n_max - 1.
+    prime p ending in 1 or 9 occurs at two distinct indices n and p + 1 - n,
+    the smaller at most (p-1)/2, which the scan reached when p <= 2*n_max + 1.
     """
 
     n_max: int
@@ -343,4 +345,4 @@ def prime_coverage(n_max: int, bound: int) -> CoverageReport:
                   if p % 10 in (1, 9) and is_prime(p).verdict is Verdict.PRIME]
     missing = tuple(p for p in candidates if p not in seen)
     return CoverageReport(n_max, bound, len(candidates), len(candidates) - len(missing),
-                          missing, 2 * n_max - 1)
+                          missing, 2 * n_max + 1)

@@ -393,6 +393,9 @@ def test_empty_range_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"gcdseq {argv[0]}: error: ") and err.count("\n") == 1
+    if argv[2:] in [(suite, "--n-max", "2") for suite in ("theorem1", "theorem2", "eq4")]:
+        # the identity suites check their range in the CLI itself
+        assert err == "gcdseq verify: error: empty range 3..2\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -731,3 +734,99 @@ def test_compare_cli_prints_exact_ratios(capsys):
     report = json.loads(out)
     assert (report["distinct_prime_ratio"], report["main_ones_share"],
             report["rowland_ones_share"]) == ("21/4", "0", "3/4")
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command imports only what it runs
+# ---------------------------------------------------------------------------
+
+# the residue engine, primality and the conjecture and comparison suites
+_ENGINE = {"gcdseq.families", "gcdseq.primality", "gcdseq.conjectures",
+           "gcdseq.analytics", "gcdseq._backend"}
+
+_RUN_IN_FRESH_PROCESS = """
+import contextlib, io, json, sys
+import gcdseq, gcdseq.cli
+argv = sys.argv[1:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gcdseq.cli.main(argv)
+else:
+    gcdseq.cli.build_parser()
+    code = 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gcdseq"))]))
+"""
+
+
+def _fresh(code, *args):
+    """What ``code``, run by a fresh interpreter, prints as JSON."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gcdseq.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("verify", "--suite", "theorem1", "--n-max", "6", "--trials", "2", "--eq5-max", "6"),
+    ("verify", "--suite", "theorem2", "--n-max", "5", "--m-min", "-3", "--m-max", "3",
+     "--lf-max", "6"),
+    ("verify", "--suite", "eq4", "--n-max", "6"),
+    ("cf", "--scheme", "t2", "--n", "5", "--m", "3"),
+], ids=["parser", "theorem1", "theorem2", "eq4", "cf"])
+def test_identity_commands_skip_the_residue_engine(argv):
+    code, loaded = _fresh(_RUN_IN_FRESH_PROCESS, *argv)
+    assert code == 0
+    assert {"gcdseq", "gcdseq.cli", "gcdseq.contfrac", "gcdseq.recurrences"} <= set(loaded)
+    assert not _ENGINE & set(loaded)
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    (("verify", "--suite", "terms", "--to", "20"),
+     {"gcdseq.families", "gcdseq.primality", "gcdseq.conjectures"}, {"gcdseq.analytics"}),
+    (("compare", "--terms", "5"), {"gcdseq.analytics"}, set()),
+], ids=["terms", "compare"])
+def test_commands_load_what_they_run(argv, loads, skips):
+    code, loaded = _fresh(_RUN_IN_FRESH_PROCESS, *argv)
+    assert code == 0
+    assert loads <= set(loaded) and not skips & set(loaded)
+
+
+def test_package_names_resolve_to_their_home_objects():
+    from gcdseq import _backend, primality, recurrences
+
+    homes = {
+        _backend: ["backend_name"],
+        families: ["MAIN", "ROWLAND", "Classification", "FamilySpec", "Kind", "Strategy",
+                   "TermRecord", "linear", "quadratic", "scan", "term"],
+        primality: ["PrimalityVerdict", "Verdict", "is_prime"],
+        recurrences: ["b", "b_via_left_factorial", "left_factorial", "rowland_diff",
+                      "rowland_term"],
+    }
+    assert sorted(n for names in homes.values() for n in names) == sorted(
+        set(gcdseq.__all__) - {"__version__"})
+    star = {}
+    exec("from gcdseq import *", star)
+    for home, names in homes.items():
+        for name in names:
+            assert getattr(gcdseq, name) is getattr(home, name), name
+            assert star[name] is getattr(home, name), name
+    assert star["__version__"] == gcdseq.__version__
+
+
+def test_import_gcdseq_loads_no_submodule_and_lists_its_names():
+    loaded, listed, bound = _fresh(
+        "import json, sys, gcdseq\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('gcdseq'))\n"
+        "listed = dir(gcdseq)\n"
+        "from gcdseq import *\n"
+        "print(json.dumps([loaded, listed, [n for n in gcdseq.__all__ if n in globals()]]))")
+    assert loaded == ["gcdseq"]
+    assert set(gcdseq.__all__) <= set(listed)
+    assert bound == gcdseq.__all__
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'gcdseq' has no attribute 'no_such_name'"):
+        getattr(gcdseq, "no_such_name")
