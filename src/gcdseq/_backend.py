@@ -2,15 +2,16 @@
 
 A residue column (``families``) asks for consecutive t, so it keeps a
 ``LeftFactorials`` walk, built with the map t -> 2x of its terms, and
-extends it whenever the column grows. The walk holds the exact integers t!
+reads on from it whenever the column grows. The walk holds the exact integers t!
 and !t only at block starts t = 64j, and advances them a whole block at a
 time with one product and one sum. At a block start it reduces that exact pair
 once mod M, the product of the block's moduli, and steps through the block
-mod M; since every 2x divides M, the residues mod 2x it hands out are
-exact. This is one level of the accumulating remainder tree of
-Costa-Gerbicz-Harvey (*A search for Wilson primes*, Math. Comp. 83, 2014):
-one bigint ``%`` per block of 64 terms instead of one per term.
-``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x from the walk.
+mod M to its end, so each block is listed once; since every 2x divides M,
+the residues mod 2x it hands out are exact. This is one level of the
+accumulating remainder tree of Costa-Gerbicz-Harvey (*A search for Wilson
+primes*, Math. Comp. 83, 2014): one bigint ``%`` per block of 64 terms
+instead of one per term. ``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x
+from the walk.
 
 ``factorial_mod(m, x)`` (single terms' factor route and ``gcd_via_factorial``)
 reduces the largest stored exact (64*j)!, j < 64, with one bigint ``%``, then
@@ -49,39 +50,28 @@ def _block_step(j):
 class LeftFactorials:
     """An ascending walk over (t! mod 2x, !t mod 2x) for the terms of a scan.
 
-    ``modulus(t)`` is the modulus 2x of the term with this t, for every t in
-    ``t_from..t_to``; !t = 0! + 1! + ... + (t-1)! is the left factorial, so
+    ``modulus(t)`` is the modulus 2x of the term with this t, for every
+    t >= ``t_from``; !t = 0! + 1! + ... + (t-1)! is the left factorial, so
     !0 = 0 and !(t+1) = !t + t!. The exact pair is kept at t = 64j only. The
     first request in block j advances it there (one product and one sum per
     block passed), reduces it mod M, the product of the moduli of the
-    block's t from the one asked for on, and steps F = F*(t+1) mod M,
-    S += F through the block, keeping F and S mod each 2x; later requests in
-    the block are list lookups. ``extend`` moves ``t_to`` up: the walk goes
-    on from where it is, and lists the block in hand again if the old end
-    cut it short. Asking for a smaller t than the last one, a t outside the
-    range, or any modulus but ``modulus(t)`` is an error, so a residue
-    handed out is never wrong.
+    block's t from the one asked for to the block's end 64j + 63, and steps
+    F = F*(t+1) mod M, S += F through the block, keeping F and S mod each
+    2x; later requests in the block are list lookups, so each block is
+    listed once. Asking for a smaller t than the last one, or any modulus
+    but ``modulus(t)``, is an error, so a residue handed out is never wrong.
     """
 
-    def __init__(self, modulus, t_from, t_to):
-        self._modulus, self._t_to = modulus, t_to
+    def __init__(self, modulus, t_from):
+        self._modulus = modulus
         self.t = t_from  # the last t asked for
         self._start, self._fact, self._left = 0, 1, 0  # exact (t!, !t) at t = 64*_start
         self._block, self._lo, self._moduli, self._pairs = -1, 0, (), ()
-
-    def extend(self, t_to):
-        """Serve every t up to ``t_to`` as well (never a smaller end)."""
-        if t_to > self._t_to:
-            if self._block == self._t_to // _STRIDE:  # the old end cut this block short
-                self._block = -1
-            self._t_to = t_to
 
     def at(self, t, m):
         """Return ``(t! mod m, !t mod m)``, where m must be ``modulus(t)``."""
         if t < self.t:
             raise ValueError(f"walk is at t={self.t}, cannot step back to t={t}")
-        if t > self._t_to:
-            raise ValueError(f"walk ends at t={self._t_to}, cannot step to t={t}")
         self.t = t
         if t // _STRIDE != self._block:
             self._fill(t)
@@ -92,7 +82,7 @@ class LeftFactorials:
 
     def _fill(self, lo):
         """Advance the exact pair to the start of lo's block and list the
-        residues of the block's t from lo on."""
+        residues of the block's t from lo to its end."""
         j = lo // _STRIDE
         f, s = self._fact, self._left
         for k in range(self._start, j):
@@ -100,15 +90,15 @@ class LeftFactorials:
             f, s = f * p, s + f * q
         self._start, self._fact, self._left = j, f, s
         first = _STRIDE * j
-        hi = min(first + _STRIDE - 1, self._t_to)
-        moduli = [self._modulus(t) for t in range(lo, hi + 1)]
+        ts = range(lo, first + _STRIDE)
+        moduli = [self._modulus(t) for t in ts]
         big = math.prod(moduli)
         f, s = f % big, s % big
         for t in range(first, lo):
             s += f
             f = f * (t + 1) % big
         pairs = []
-        for t, m in zip(range(lo, hi + 1), moduli):
+        for t, m in zip(ts, moduli):
             pairs.append((f % m, s % m))
             s += f
             f = f * (t + 1) % big

@@ -15,6 +15,7 @@ does not read), 2 violations, data or output errors (such as a closed stdout).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -81,6 +82,19 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
+
+
+@contextlib.contextmanager
+def _exact_text():
+    """Lift Python's limit on the digits of an int converted to text
+    (``sys.get_int_max_str_digits()``, 4300 by default) inside the block, so
+    output prints exact values of any size; input is parsed under the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(text, out_path):
@@ -155,7 +169,7 @@ def _cached_records(family, n_from, n_to, cache_path):
     if cache_path and (fresh or dropped):
         tmp = f"{cache_path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="ascii") as fh:
+            with open(tmp, "w", encoding="ascii") as fh, _exact_text():
                 for rec in [*cached.values(), *fresh]:
                     fh.write(json.dumps(rec) + "\n")
             os.replace(tmp, cache_path)
@@ -178,15 +192,16 @@ def cmd_gen(args):
     families._check_range(args.family, args.n_from, args.n_to)
     try:
         records = _cached_records(args.family, args.n_from, args.n_to, args.cache)
-        if args.format == "csv":
-            lines = ["n,x,d,a,class"]
-            lines += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
-            _emit("\n".join(lines) + "\n", args.out)
-        elif args.format == "jsonl":
-            _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
-        else:  # bfile
-            entries = [(r["n"] + (args.offset or 0), r["a"]) for r in records]
-            _emit(format_bfile(entries), args.out)
+        with _exact_text():
+            if args.format == "csv":
+                lines = ["n,x,d,a,class"]
+                lines += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
+                _emit("\n".join(lines) + "\n", args.out)
+            elif args.format == "jsonl":
+                _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
+            else:  # bfile
+                entries = [(r["n"] + (args.offset or 0), r["a"]) for r in records]
+                _emit(format_bfile(entries), args.out)
     except BrokenPipeError:
         raise  # a closed stdout is handled in main
     except OSError as exc:
@@ -378,6 +393,7 @@ _SUITE_RUNNERS = {
 SUITES = tuple(_SUITE_RUNNERS)
 
 
+@_exact_text()
 def cmd_verify(args):
     runner, accepted, defaults = _SUITE_RUNNERS[args.suite]
     given = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "suite")}
@@ -408,6 +424,7 @@ def cmd_verify(args):
 # cf
 # ---------------------------------------------------------------------------
 
+@_exact_text()
 def cmd_cf(args):
     scheme = contfrac.Scheme(args.scheme)
     try:
@@ -490,15 +507,16 @@ def cmd_oeis_check(args):
         why = ("empty b-file" if not data.entries else
                f"every entry read falls below n = {family.first_index} at offset {offset}")
         print(f"warning: {why}, nothing compared", file=sys.stderr)
-    print(json.dumps({
-        "bfile": args.bfile,
-        "family": str(family),
-        "offset": offset,
-        "entries": len(data.entries),
-        "compared": compared,
-        "skipped_below_domain": skipped,
-        "first_divergence": divergence,
-    }, indent=2))
+    with _exact_text():
+        print(json.dumps({
+            "bfile": args.bfile,
+            "family": str(family),
+            "offset": offset,
+            "entries": len(data.entries),
+            "compared": compared,
+            "skipped_below_domain": skipped,
+            "first_divergence": divergence,
+        }, indent=2))
     return EXIT_OK if divergence is None else EXIT_VIOLATION
 
 
@@ -506,6 +524,7 @@ def cmd_oeis_check(args):
 # compare
 # ---------------------------------------------------------------------------
 
+@_exact_text()
 def cmd_compare(args):
     from . import analytics
 

@@ -117,16 +117,6 @@ class CFSpec:
     tail: int
 
 
-def cf_theorem1_spec(n: int, m: int) -> CFSpec:
-    """Levels (3,2), (4,3), ..., (n, n-1) with tail m; n >= 3."""
-    return cf_spec(Scheme.T1, n, m)
-
-
-def cf_theorem2_spec(n: int, m: int) -> CFSpec:
-    """Levels (1,1), (2,2), ..., (n-1, n-1) with tail m; n >= 3."""
-    return cf_spec(Scheme.T2, n, m)
-
-
 def cf_spec(scheme: Scheme, n: int, m: int) -> CFSpec:
     if n < 3:
         raise IndexBelowDomain(f"scheme defined for n >= 3, got {n}")
@@ -145,30 +135,27 @@ def _key(x, y):
 
 class _ConvergentTable(_RecurrenceCache):
     """The columns col_k = (x_k, y_k), k >= -1, of one scheme. Each step also
-    indexes level k + 1 by the key of col_k, from the residues mod _Q of the
-    last two columns; it runs under the cache's lock, before the column is
-    published."""
+    indexes level k + 1 by the key of col_k; it runs under the cache's lock,
+    before the column is published."""
 
     def __init__(self, scheme):
         self._level = scheme.level
         self._zeros = {}
-        self._recent = ()
         initial = ((0, 1), (1, 0))
         for k, col in enumerate(initial, -1):
             self._index(k, *col)
         super().__init__(-1, initial, self._next)
 
-    def _index(self, k, xq, yq):
-        self._recent = (*self._recent[-1:], (xq, yq))
-        key = _key(xq, yq)
+    def _index(self, k, x, y):
+        key = _key(x, y)
         self._zeros[key] = self._zeros.get(key, ()) + (k + 1,)
 
     def _next(self, k, cols):
         c, p = self._level(k)[1], self._level(k - 1)[0]
-        (u2, w2), (u1, w1) = self._recent
-        self._index(k, (c * u1 - p * u2) % _Q, (c * w1 - p * w2) % _Q)
         (x1, y1), (x2, y2) = cols[-1], cols[-2]
-        return c * x1 - p * x2, c * y1 - p * y2
+        col = c * x1 - p * x2, c * y1 - p * y2
+        self._index(k, *col)
+        return col
 
     def prefix(self, k):
         """P_k = A_1 ... A_k as its rows."""

@@ -37,8 +37,9 @@ residue. The routes are:
   column. It holds the exact t! and !t at every 64th t and reduces them
   once per block of 64 terms, mod the product of the block's moduli 2x, so
   each term reads t! and !t mod 2x, where 2*b(t-1) = (t+1)*!t and
-  2*b(t) = (t+2)*(!t + t!). A scan past the column's end extends the walk
-  from where it stopped, so no term is walked twice in a process. A range
+  2*b(t) = (t+2)*(!t + t!). A scan past the column's end grows it, and
+  the walk reads on from where it stopped, listing each block to its end
+  once, so no term is walked twice in a process. A range
   that starts farther past the column's end than it is long would spend
   most of its time walking up to it, so it takes the factor route per
   term and leaves the column as it is. The column is an ``array('Q')``
@@ -322,10 +323,10 @@ class _ResidueColumn(_RecurrenceCache):
 
     It grows as every ``_RecurrenceCache`` does, under its lock, into an
     ``array('Q')``. Each step reads b(t-1) and b(t) mod x from a single
-    ``LeftFactorials`` walk, which ``reach`` builds on the first extension
-    and extends to the new end after, so the walk resumes where the column
-    ends and no term is walked twice. The first residue of 2**64 or more
-    widens the array to a list, and the column goes on growing.
+    ``LeftFactorials`` walk, built on the first growth, so every growth
+    reads on where the column ends and no term is walked twice. The first
+    residue of 2**64 or more widens the array to a list, and the column
+    goes on growing.
     """
 
     def __init__(self, family: FamilySpec):
@@ -338,24 +339,17 @@ class _ResidueColumn(_RecurrenceCache):
         b_prev, b_cur = _backend.b_mod_pair(t, x, self._walk)  # b(t-1), b(t)
         return (c * b_cur + e * b_prev) % x
 
-    def reach(self, n: int):
-        """Hold every residue up to index n."""
-        if n > self.high_water:
-            with self._lock:
-                if n > self.high_water:
-                    t_to = self._form(n)[1]
-                    if self._walk is None:
-                        shift = n - t_to  # n - t, the same for every n
-                        self._walk = _backend.LeftFactorials(
-                            lambda t: 2 * self._form(t + shift)[0], self._first - shift, t_to)
-                    else:
-                        self._walk.extend(t_to)
-                    try:
-                        self._grow(n - self._first)
-                    except OverflowError:  # a residue of 2**64 or more
-                        # widen; the walk is still at this t, so it reads it again
-                        self._terms = list(self._terms)
-                        self._grow(n - self._first)
+    def _grow(self, pos):
+        if self._walk is None:
+            shift = self._first - self._form(self._first)[1]  # n - t, the same for every n
+            self._walk = _backend.LeftFactorials(
+                lambda t: 2 * self._form(t + shift)[0], self._first - shift)
+        try:
+            super()._grow(pos)
+        except OverflowError:  # a residue of 2**64 or more
+            # widen; the walk is still at this t, so it reads it again
+            self._terms = list(self._terms)
+            super()._grow(pos)
 
     def residues(self, n_from: int, n_to: int):
         """The residues held for n_from..n_to."""
@@ -388,7 +382,7 @@ def _residues(family: FamilySpec, n_from: int, n_to: int) -> Iterator[tuple]:
             definition = form(n)
             yield n, definition, _partner_residue(*definition)
         return
-    column.reach(n_to)
+    column.value(n_to)
     for n, y in zip(range(n_from, n_to + 1), column.residues(n_from, n_to)):
         yield n, form(n), y
 

@@ -26,7 +26,7 @@ from gcdseq.conjectures import (
 )
 from gcdseq.contfrac import (
     Scheme,
-    cf_theorem2_spec,
+    cf_spec,
     elimination_chain,
     eval_cf,
     theorem2_closed_form,
@@ -280,9 +280,9 @@ def test_criterion_8_theorem2_resolution():
     # the printed right side disagrees with the evaluated fraction
     for n in (3, 4, 5):
         for m in (5, 7):
-            cf = eval_cf(cf_theorem2_spec(n, m))
+            cf = eval_cf(cf_spec(Scheme.T2, n, m))
             assert theorem2_closed_form(n, m) != cf, (n, m)
-    assert eval_cf(cf_theorem2_spec(3, 5)) == Fraction(8, 3)
+    assert eval_cf(cf_spec(Scheme.T2, 3, 5)) == Fraction(8, 3)
     assert theorem2_closed_form(3, 5) == Fraction(10, 9)
     # the derived right side matches everywhere on the grid
     combos = 0

@@ -8,7 +8,8 @@ import pytest
 
 import gcdseq
 from gcdseq import contfrac, families
-from gcdseq.cli import main
+from gcdseq.cli import _exact_text, main
+from gcdseq.contfrac import Scheme
 from gcdseq.recurrences import b, left_factorial
 
 from expected_terms import LINEAR_PREFIX, MAIN_PREFIX, QUAD_PREFIX, ROWLAND_DIFF_PREFIX
@@ -303,7 +304,7 @@ def test_a_wrong_row_is_reported_with_exact_values(monkeypatch, capsys):
     for entry in mismatches:
         m = entry["m"]
         assert entry == {"n": 3, "m": m,
-                         "cf": str(contfrac.eval_cf(contfrac.cf_theorem1_spec(3, m))),
+                         "cf": str(contfrac.eval_cf(contfrac.cf_spec(Scheme.T1, 3, m))),
                          "eq1": str(Fraction(m - 3, 3 * (m - 1) - m))}
 
     code, out, _ = run(capsys, "verify", "--suite", "theorem2", "--n-max", "6",
@@ -505,6 +506,62 @@ def test_cf_zero_denominator(capsys):
     code, _, err = run(capsys, "cf", "--scheme", "t1", "--n", "3", "--m", "0")
     assert code == 2
     assert "level 1" in err
+
+
+def _read_exact(text):
+    """A printed fraction read back, whatever its number of digits."""
+    with _exact_text():
+        return Fraction(text)
+
+
+@pytest.mark.parametrize("scheme", ["t1", "t2"])
+def test_cf_prints_values_past_the_digit_limit(capsys, scheme):
+    # at n = 1700 the fraction has more digits than Python converts to text
+    # by default; it prints in full, and input keeps the limit afterwards
+    code, out, err = run(capsys, "cf", "--scheme", scheme, "--n", "1700", "--m", "7")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    text = lines[0].removeprefix("cf = ")
+    numerator = text.partition("/")[0].removeprefix("-")
+    assert len(numerator) > sys.get_int_max_str_digits()
+    assert _read_exact(text) == contfrac.eval_cf(contfrac.cf_spec(Scheme(scheme), 1700, 7))
+    assert lines[-1].endswith(" equal")  # eq1, or T2's derived form
+    with pytest.raises(ValueError, match="limit"):
+        int(numerator)
+
+
+def test_verify_report_prints_values_past_the_digit_limit(monkeypatch, capsys):
+    # a failure listed at n = 1700 prints its exact fractions
+    equals = contfrac.ClosedForm.equals
+    monkeypatch.setattr(contfrac.ClosedForm, "equals",
+                        lambda form, value, m: form.n != 1700 and equals(form, value, m))
+    code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--n-max", "1700",
+                       "--trials", "1", "--eq5-max", "2")
+    assert code == 2
+    [entry] = json.loads(out)["cf_mismatches"]
+    assert entry["n"] == 1700
+    cf = _read_exact(entry["cf"])
+    assert cf == contfrac.eval_cf(contfrac.cf_spec(Scheme.T1, 1700, entry["m"]))
+    assert cf == _read_exact(entry["eq1"])
+
+
+def test_input_keeps_the_digit_limit(tmp_path, capsys):
+    # only output lifts the limit: a longer integer read is refused cleanly
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(SystemExit) as exit_:
+        main(["cf", "--scheme", "t1", "--n", big, "--m", "7"])
+    assert exit_.value.code == 1 and "Exceeds the limit" in capsys.readouterr().err
+    bfile = tmp_path / "b.txt"
+    _write_bfile(bfile, [(3, big)])
+    code, _, err = run(capsys, "oeis-check", "--bfile", str(bfile), "--family", "main")
+    assert code == 2 and "line 2" in err
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"family": "main", "n": 3, "x": %s, "y_mod_x": 1, "d": 1, '
+                     '"a": 5, "class": "prime"}\n' % big)
+    code, out, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "4",
+                         "--cache", str(cache))
+    assert (code, out) == (0, "n,x,d,a,class\n3,5,1,5,prime\n4,11,1,11,prime\n")
+    assert err == "warning: malformed cache line 1; ignored\n"
 
 
 # ---------------------------------------------------------------------------

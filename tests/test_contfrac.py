@@ -14,8 +14,6 @@ from gcdseq.contfrac import (
     LinearForm,
     Scheme,
     cf_spec,
-    cf_theorem1_spec,
-    cf_theorem2_spec,
     elimination_chain,
     eval_cf,
     theorem1_closed_form,
@@ -39,25 +37,25 @@ def _levels(spec):
 
 
 def test_t1_spec_shapes():
-    assert cf_theorem1_spec(3, 5) == CFSpec(Scheme.T1, 3, 5)
-    assert _levels(cf_theorem1_spec(3, 5)) == ((3, 2),)
-    assert _levels(cf_theorem1_spec(4, 7)) == ((3, 2), (4, 3))
-    assert _levels(cf_theorem1_spec(5, 1)) == ((3, 2), (4, 3), (5, 4))
-    assert cf_theorem1_spec(5, 1).tail == 1
+    assert cf_spec(Scheme.T1, 3, 5) == CFSpec(Scheme.T1, 3, 5)
+    assert _levels(cf_spec(Scheme.T1, 3, 5)) == ((3, 2),)
+    assert _levels(cf_spec(Scheme.T1, 4, 7)) == ((3, 2), (4, 3))
+    assert _levels(cf_spec(Scheme.T1, 5, 1)) == ((3, 2), (4, 3), (5, 4))
+    assert cf_spec(Scheme.T1, 5, 1).tail == 1
 
 
 def test_t2_spec_shapes():
-    assert cf_theorem2_spec(3, 5) == CFSpec(Scheme.T2, 3, 5)
-    assert _levels(cf_theorem2_spec(3, 5)) == ((1, 1), (2, 2))
-    assert _levels(cf_theorem2_spec(4, 9)) == ((1, 1), (2, 2), (3, 3))
-    assert cf_theorem2_spec(4, 9).tail == 9
+    assert cf_spec(Scheme.T2, 3, 5) == CFSpec(Scheme.T2, 3, 5)
+    assert _levels(cf_spec(Scheme.T2, 3, 5)) == ((1, 1), (2, 2))
+    assert _levels(cf_spec(Scheme.T2, 4, 9)) == ((1, 1), (2, 2), (3, 3))
+    assert cf_spec(Scheme.T2, 4, 9).tail == 9
 
 
 def test_spec_below_domain():
     with pytest.raises(IndexBelowDomain):
-        cf_theorem1_spec(2, 5)
+        cf_spec(Scheme.T1, 2, 5)
     with pytest.raises(IndexBelowDomain):
-        cf_theorem2_spec(2, 5)
+        cf_spec(Scheme.T2, 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -65,31 +63,31 @@ def test_spec_below_domain():
 # ---------------------------------------------------------------------------
 
 def test_eval_hand_values():
-    assert eval_cf(cf_theorem1_spec(3, 5)) == Fraction(5, 7)
-    assert eval_cf(cf_theorem1_spec(4, 7)) == Fraction(17, 13)
-    assert eval_cf(cf_theorem2_spec(3, 5)) == Fraction(8, 3)
+    assert eval_cf(cf_spec(Scheme.T1, 3, 5)) == Fraction(5, 7)
+    assert eval_cf(cf_spec(Scheme.T1, 4, 7)) == Fraction(17, 13)
+    assert eval_cf(cf_spec(Scheme.T2, 3, 5)) == Fraction(8, 3)
 
 
 def test_eval_zero_tail():
     with pytest.raises(ZeroDenominator) as exc:
-        eval_cf(cf_theorem1_spec(3, 0))
+        eval_cf(cf_spec(Scheme.T1, 3, 0))
     assert exc.value.level == 1
     with pytest.raises(ZeroDenominator) as exc:
-        eval_cf(cf_theorem1_spec(5, 0))
+        eval_cf(cf_spec(Scheme.T1, 5, 0))
     assert exc.value.level == 3  # innermost of three levels
 
 
 def test_eval_outer_zero():
     # m = n - 1 collapses the outermost value of the T2 fraction
     with pytest.raises(ZeroDenominator) as exc:
-        eval_cf(cf_theorem2_spec(3, 2))
+        eval_cf(cf_spec(Scheme.T2, 3, 2))
     assert exc.value.level == 0
 
 
 def test_eval_interior_zero():
     # tail 1 under the level (4, 4) gives 4 - 4/1 = 0, so level 3 divides by zero
     with pytest.raises(ZeroDenominator) as exc:
-        eval_cf(cf_theorem2_spec(5, 1))
+        eval_cf(cf_spec(Scheme.T2, 5, 1))
     assert exc.value.level == 3
 
 
@@ -288,7 +286,7 @@ def test_derived_form_brute_force_confirmation():
     for n in range(3, 13):
         for m in range(-20, 21):
             try:
-                cf = eval_cf(cf_theorem2_spec(n, m))
+                cf = eval_cf(cf_spec(Scheme.T2, n, m))
             except ZeroDenominator:
                 continue
             assert theorem2_derived_form(n, m) == cf, (n, m)
@@ -301,7 +299,7 @@ def test_printed_t2_form_never_matches_on_the_grid():
     for n in range(3, 13):
         for m in range(-20, 21):
             try:
-                cf = eval_cf(cf_theorem2_spec(n, m))
+                cf = eval_cf(cf_spec(Scheme.T2, n, m))
                 printed = theorem2_closed_form(n, m)
             except ZeroDenominator:
                 continue

@@ -525,7 +525,7 @@ def walked_records(family, n_to):
     first = family.first_index
     shift = first - families._definition(family, first)[1]  # n - t
     walk = _backend.LeftFactorials(
-        lambda t: 2 * families._definition(family, t + shift)[0], first - shift, n_to - shift)
+        lambda t: 2 * families._definition(family, t + shift)[0], first - shift)
     records = []
     for n in range(first, n_to + 1):
         x, t, c, e = families._definition(family, n)
@@ -559,6 +559,28 @@ def test_column_extensions_match_a_fresh_walk_and_term(family_text, ranges):
     assert held == [rec.y_mod_x for rec in fresh[:column.high_water - family.first_index + 1]]
     # an array('Q') until a residue needs more than 64 bits
     assert isinstance(column._terms, list) == any(y >= 2**64 for y in held)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=3, max_value=400), min_size=1, max_size=8))
+@example([40, 100])  # the second scan reads on inside block 0
+@example([66, 67, 130, 131, 3, 200])  # main's t = 63, 64, 127, 128: block edges
+def test_column_lists_each_block_once(ends):
+    # scans of main from n = 3 to each end in turn: the walk lists every
+    # block it passes exactly once, however the ends cut the blocks
+    expected = walked_records(MAIN, max(ends))
+    blocks = []
+    real = _backend.LeftFactorials._fill
+
+    def spy(walk, lo):
+        blocks.append(lo // 64)
+        real(walk, lo)
+
+    with (mock.patch.dict(families._COLUMNS, clear=True),
+          mock.patch.object(_backend.LeftFactorials, "_fill", spy)):
+        for n_to in ends:
+            assert list(scan(MAIN, 3, n_to)) == expected[:n_to - 2]
+    assert blocks == list(range((max(ends) - 3) // 64 + 1))
 
 
 def test_main_and_quad_one_share_a_column(fresh_columns):

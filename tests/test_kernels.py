@@ -60,47 +60,31 @@ def _above_both(t):
 
 def test_left_factorial_walk_against_exact_values():
     # 63/64, 127/128 and 255/256 are block edges
-    walk = _backend.LeftFactorials(_above_both, 0, 300)
+    walk = _backend.LeftFactorials(_above_both, 0)
     for t in (0, 0, 1, 2, 3, 7, 8, 40, 41, 63, 64, 65, 127, 128, 256, 300):
         assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
 
 
 def test_left_factorial_walk_starting_mid_block():
-    walk = _backend.LeftFactorials(_above_both, 100, 200)
+    walk = _backend.LeftFactorials(_above_both, 100)
     for t in (100, 127, 128, 191, 192, 200):
         assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
 
 
-def test_left_factorial_walk_extends_its_end():
-    # each end cuts a block short (40, 100) or closes one (63, 127); the walk
-    # goes on from the last t asked for, never from t = 0
-    walk = _backend.LeftFactorials(_above_both, 0, 40)
-    for t_to, ts in ((40, (0, 40)), (63, (41, 63)), (100, (64, 99, 100)),
-                     (127, (101, 127)), (300, (128, 200, 300))):
-        walk.extend(t_to)
-        for t in ts:
-            assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
-    walk.extend(250)  # never a smaller end
-    with pytest.raises(ValueError, match="ends at"):
-        walk.at(301, _above_both(301))
-
-
 def test_left_factorial_walk_refuses_to_step_back():
-    walk = _backend.LeftFactorials(_above_both, 0, 20)
+    walk = _backend.LeftFactorials(_above_both, 0)
     walk.at(9, _above_both(9))
     with pytest.raises(ValueError, match="step back"):
         walk.at(8, _above_both(8))
     assert walk.at(9, _above_both(9)) == (math.factorial(9), left_factorial(9))
 
 
-def test_left_factorial_walk_refuses_another_modulus_or_range():
+def test_left_factorial_walk_refuses_another_modulus():
     # never a residue mod anything but the modulus the walk was built with
-    walk = _backend.LeftFactorials(lambda t: 2 * (t * t + t + 1), 5, 70)
+    walk = _backend.LeftFactorials(lambda t: 2 * (t * t + t + 1), 5)
     for t, m in ((5, 2 * 31 + 2), (5, 2 * 31 * 3), (64, 2 * 31), (65, 2 * 4291 // 2)):
         with pytest.raises(ValueError, match="not mod"):
             walk.at(t, m)
-    with pytest.raises(ValueError, match="ends at"):
-        walk.at(71, 2 * (71 * 71 + 71 + 1))
     assert walk.at(70, 2 * 4971) == (math.factorial(70) % 9942, left_factorial(70) % 9942)
     with pytest.raises(ValueError, match="not mod"):
         _backend.b_mod_pair(70, 4970, walk)
@@ -109,7 +93,7 @@ def test_left_factorial_walk_refuses_another_modulus_or_range():
 def _walked_and_exact(ts, x_of):
     """(b_mod_pair with one walk over ascending ``ts``, exact b mod x), the
     modulus of t being 2 * x_of(t)."""
-    walk = _backend.LeftFactorials(lambda t: 2 * x_of(t), ts[0] if ts else 0, ts[-1] if ts else 0)
+    walk = _backend.LeftFactorials(lambda t: 2 * x_of(t), ts[0] if ts else 0)
     return ([_backend.b_mod_pair(t, x_of(t), walk) for t in ts],
             [(b(t - 1) % x_of(t), b(t) % x_of(t)) for t in ts])
 
