@@ -27,29 +27,7 @@ _HOMES = {
                      "rowland_term"), "recurrences"),
 }
 
-__all__ = [
-    "MAIN",
-    "ROWLAND",
-    "Classification",
-    "FamilySpec",
-    "Kind",
-    "PrimalityVerdict",
-    "Strategy",
-    "TermRecord",
-    "Verdict",
-    "__version__",
-    "b",
-    "b_via_left_factorial",
-    "backend_name",
-    "is_prime",
-    "left_factorial",
-    "linear",
-    "quadratic",
-    "rowland_diff",
-    "rowland_term",
-    "scan",
-    "term",
-]
+__all__ = [*_HOMES, "__version__"]
 
 
 def __getattr__(name):

@@ -9,6 +9,7 @@ a non-ASCII byte) is a parse error naming its line.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import BFileParseError
@@ -20,11 +21,22 @@ class BFile:
     comments: tuple[str, ...]
 
 
+class _DigitLimitError(ValueError):
+    """An integer with more digits than ``sys.get_int_max_str_digits()``."""
+
+
 def read_int(text: str) -> int:
-    """An optional '-' and ASCII digits as an int; '+3', '1_0', ' 3' are ValueErrors."""
-    if text.isascii() and text.removeprefix("-").isdigit():
-        return int(text)
-    raise ValueError(f"invalid int value: {text!r}")
+    """An optional '-' and ASCII digits as an int; '+3', '1_0', ' 3' are
+    ValueErrors, and so is a number past Python's input limit, whose error
+    names the limit."""
+    digits = text.removeprefix("-")
+    if not (text.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise _DigitLimitError(f"Exceeds the limit ({limit} digits) of an integer "
+                               f"read: value has {len(digits)} digits")
+    return int(text)
 
 
 def parse_bfile(text: str) -> BFile:
@@ -45,6 +57,8 @@ def parse_bfile(text: str) -> BFile:
             )
         try:
             index, value = map(read_int, fields)
+        except _DigitLimitError as exc:
+            raise BFileParseError(f"{exc}, in {raw!r}", line_no) from None
         except ValueError:
             raise BFileParseError(f"non-integer field in {raw!r}", line_no) from None
         if last_index is not None and index <= last_index:

@@ -85,16 +85,22 @@ def _jsonable(obj):
 
 
 @contextlib.contextmanager
-def _exact_text():
-    """Lift Python's limit on the digits of an int converted to text
-    (``sys.get_int_max_str_digits()``, 4300 by default) inside the block, so
-    output prints exact values of any size; input is parsed under the limit."""
+def _int_digits(digits):
+    """Inside the block, ints of up to ``digits`` digits (0: any number)
+    convert to and from text, past Python's limit
+    (``sys.get_int_max_str_digits()``, 4300 by default)."""
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    if limit and not 0 < digits <= limit:
+        sys.set_int_max_str_digits(digits)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _exact_text():
+    """Output prints exact values of any size; input keeps the limit."""
+    return _int_digits(0)
 
 
 def _emit(text, out_path):
@@ -141,7 +147,14 @@ def _cached_records(family, n_from, n_to, cache_path):
     cached = {}
     dropped = False
     if cache_path and os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="ascii", errors="replace") as fh:
+        # a line may hold as many digits as the run's largest term: x at n_to,
+        # or a Rowland difference, at most n_to + 1
+        largest = (n_to + 1 if family.kind is families.Kind.ROWLAND
+                   else families.numerator(family, n_to))
+        with _exact_text():
+            digits = len(str(largest))
+        with open(cache_path, "r", encoding="ascii", errors="replace") as fh, \
+                _int_digits(digits):
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue

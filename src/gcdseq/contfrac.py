@@ -18,7 +18,7 @@ which coefficients actually occur.
 
 Both are 1/v_1 with v_j = c_j - p_j/v_{j+1} over the levels j = 1..K and
 v_{K+1} = m: (p_j, c_j) = (j+2, j+1) with K = n-2 in T1, (j, j) with K = n-1
-in T2. Level 0 is the outer reciprocal, 1/v_1 = 0 - (-1)/v_1.
+in T2. Level 0 is the outer reciprocal 1/v_1.
 
 Convergent table. With v_j = N_j/D_j, (N_j, D_j) = A_j (N_{j+1}, D_{j+1}) for
 A_j = [[c_j, -p_j], [1, 0]], so (N, D) = P_K (m, 1) with P_K = A_1 ... A_K,
@@ -26,21 +26,22 @@ and the value is D/N (the fundamental recurrence, Euler-Wallis; H. S. Wall,
 Analytic Theory of Continued Fractions, 1948, ch. I). No level depends on n
 or m, so one table per scheme serves every fraction. Its entry k is
 col_k = (x_k, y_k), the first column of P_k. The second column of
-P_k = P_{k-1} A_k is -p_k col_{k-1}, so col_k = c_k col_{k-1} - p_{k-1} col_{k-2},
-from col_{-1} = (0, 1) and col_0 = (1, 0).
+P_k = P_{k-1} A_k is -p_k col_{k-1}, so col_k = c_k col_{k-1} - p_{k-1} col_{k-2}
+for k >= 2, from col_0 = (1, 0) and col_1 = (c_1, 1), the first column of A_1.
 
 Zero levels. Level j >= 1 divides by zero when N_{j+1} = 0, level 0 when
 N = N_1 = 0. Since (N, D) = P_j (N_{j+1}, D_{j+1}), the adjugate of P_j gives
-det(P_j) N_{j+1} = t N - s D, where (s, t) = -p_j col_{j-1} is the second
-column of P_j and det(P_j) = p_1 ... p_j is not 0. So level j fails exactly
-when N y_{j-1} = D x_{j-1}, for j = 0 too, and the deepest such j <= K is
-raised: it is where a walk from the innermost level stops. Candidates are
-looked up by their point on the projective line over Z/Q, Q prime. A common
-factor of x_k and y_k divides x_k y_{k-1} - x_{k-1} y_k = +-p_1 ... p_{k-1}, and a
-common factor of N and D divides det(P_K), as adj(P_K) (N, D) = det(P_K) (m, 1).
-So neither pair is (0, 0) mod Q while every p_j < Q, that is for n < Q:
-proportional pairs share a key, no match is missed, and each hit is
-confirmed by the exact cross-multiplication.
+det(P_j) N_{j+1} = p_j (x_{j-1} D - y_{j-1} N), and det(P_j) = p_1 ... p_j is
+not 0. So level j >= 1 fails exactly when N y_{j-1} = D x_{j-1}. By the row
+identity below and b(k-1) = (k+1) !k/2, s y_k = !k x_k with s = 2 in T1 and
+s = 1 in T2, and x_k != 0 for k >= 0. N and D are never both 0, as
+adj(P_K) (N, D) = det(P_K) (m, 1). So N = 0 fails level 0 and no other
+level. For N != 0, level j >= 1 fails exactly when s D/N = !(j-1); as !k
+increases strictly with k, at most one j does, and none when D/N in lowest
+terms has a denominator not dividing s. That j is found by bisection over
+!0 ... !(K-1) and confirmed by the exact cross-multiplication with the
+table's own col_{j-1}: the left factorials only propose a level, the table
+decides it.
 
 Elimination. The relations a_j = c_j a_{j+1} - p_j a_{j+2} give
 (a_1, a_2) = P_K (a_{K+1}, a_{K+2}): the rows of P_K are the forms of a_1 and
@@ -85,21 +86,20 @@ Arithmetic is exact throughout: integers, and one normalisation into the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import IndexBelowDomain, ZeroDenominator
-from .recurrences import _RecurrenceCache, b, left_factorial
+from .recurrences import _RecurrenceCache, _lf_cache, b, left_factorial
 
 class Scheme(Enum):
     T1 = "t1"
     T2 = "t2"
 
     def level(self, j: int) -> tuple[int, int]:
-        """(p_j, c_j) of level j from the outermost = 1; level 0 is 1/v_1."""
-        if j == 0:
-            return -1, 0
+        """(p_j, c_j) of level j >= 1, from the outermost = 1."""
         return (j + 2, j + 1) if self is Scheme.T1 else (j, j)
 
     def depth(self, n: int) -> int:
@@ -123,57 +123,45 @@ def cf_spec(scheme: Scheme, n: int, m: int) -> CFSpec:
     return CFSpec(scheme, n, m)
 
 
-_Q = 2**30 - 35  # prime, and one digit of a CPython int
+def _convergents(scheme):
+    """The columns col_k = (x_k, y_k), k >= 0, of ``scheme``."""
+    level = scheme.level
 
-
-def _key(x, y):
-    """(x : y) on the projective line over Z/_Q: x/y mod _Q, or _Q for
-    y = 0 mod _Q."""
-    y %= _Q
-    return x % _Q * pow(y, -1, _Q) % _Q if y else _Q
-
-
-class _ConvergentTable(_RecurrenceCache):
-    """The columns col_k = (x_k, y_k), k >= -1, of one scheme. Each step also
-    indexes level k + 1 by the key of col_k; it runs under the cache's lock,
-    before the column is published."""
-
-    def __init__(self, scheme):
-        self._level = scheme.level
-        self._zeros = {}
-        initial = ((0, 1), (1, 0))
-        for k, col in enumerate(initial, -1):
-            self._index(k, *col)
-        super().__init__(-1, initial, self._next)
-
-    def _index(self, k, x, y):
-        key = _key(x, y)
-        self._zeros[key] = self._zeros.get(key, ()) + (k + 1,)
-
-    def _next(self, k, cols):
-        c, p = self._level(k)[1], self._level(k - 1)[0]
+    def step(k, cols):
+        c, p = level(k)[1], level(k - 1)[0]
         (x1, y1), (x2, y2) = cols[-1], cols[-2]
-        col = c * x1 - p * x2, c * y1 - p * y2
-        self._index(k, *col)
-        return col
+        return c * x1 - p * x2, c * y1 - p * y2
 
-    def prefix(self, k):
-        """P_k = A_1 ... A_k as its rows."""
-        (x, y), (x1, y1) = self.value(k), self.value(k - 1)
-        p = self._level(k)[0]
-        return (x, -p * x1), (y, -p * y1)
+    return _RecurrenceCache(0, ((1, 0), (level(1)[1], 1)), step)
 
-    def zero_level(self, num, den, k):
-        """The deepest level j <= k failing at P_k (m, 1) = (num, den), or None."""
-        for j in reversed(self._zeros.get(_key(num, den), ())):
-            if j <= k:
-                x, y = self.value(j - 1)
-                if num * y == den * x:
-                    return j
+
+_TABLES = {scheme: _convergents(scheme) for scheme in Scheme}
+_SCALE = {Scheme.T1: 2, Scheme.T2: 1}  # s, with s y_k = !k x_k
+
+
+def _prefix(scheme, k):
+    """P_k = A_1 ... A_k as its rows, k >= 1."""
+    table = _TABLES[scheme]
+    (x, y), (x1, y1) = table.value(k), table.value(k - 1)
+    p = scheme.level(k)[0]
+    return (x, -p * x1), (y, -p * y1)
+
+
+def _zero_level(scheme, k, num, den, value):
+    """The level j in 1..k failing at P_k (m, 1) = (num, den), where num != 0
+    and value = den/num; None if no level fails."""
+    s = _SCALE[scheme]
+    if s % value.denominator:
         return None
-
-
-_TABLES = {scheme: _ConvergentTable(scheme) for scheme in Scheme}
+    target = s // value.denominator * value.numerator
+    left_factorial(k - 1)  # the cache's own list then holds !0 ... !(k-1)
+    lf = _lf_cache._terms
+    i = bisect_left(lf, target, 0, k)
+    if i < k and lf[i] == target:
+        x, y = _TABLES[scheme].value(i)
+        if num * y == den * x:
+            return i + 1
+    return None
 
 
 def eval_cf(spec: CFSpec) -> Fraction:
@@ -184,17 +172,17 @@ def eval_cf(spec: CFSpec) -> Fraction:
     from the outermost = 1; level 0 is the final reciprocal).
     """
     k, m = spec.scheme.depth(spec.n), spec.tail
-    table = _TABLES[spec.scheme]
-    near, far = table.prefix(k)
+    near, far = _prefix(spec.scheme, k)
     num, den = near[0] * m + near[1], far[0] * m + far[1]
-    level = table.zero_level(num, den, k)
-    if level == 0:
+    if num == 0:
         raise ZeroDenominator("outer value is zero", where="cf", level=0)
+    value = Fraction(den, num)
+    level = _zero_level(spec.scheme, k, num, den, value)
     if level is not None:
         raise ZeroDenominator(
             f"zero denominator under level {level}", where="cf", level=level
         )
-    return Fraction(den, num)
+    return value
 
 
 @dataclass(frozen=True)
@@ -226,7 +214,7 @@ class ClosedForm:
     def row_identity(self) -> bool:
         """Whether p/q = D/N as rational functions of m: D*q = N*p, one
         equality per power of m, with N and D the rows of P_K."""
-        (x, x1), (y, y1) = _TABLES[self.scheme].prefix(self.scheme.depth(self.n))
+        (x, x1), (y, y1) = _prefix(self.scheme, self.scheme.depth(self.n))
         (p1, p0), (q1, q0) = self.p, self.q
         return (y * q1 == x * p1 and y * q0 + y1 * q1 == x * p0 + x1 * p1
                 and y1 * q0 == x1 * p0)
@@ -288,7 +276,7 @@ def elimination_chain(scheme: Scheme, n: int) -> tuple[LinearForm, LinearForm]:
     if n < 3:
         raise IndexBelowDomain(f"chain defined for n >= 3, got {n}")
     k = scheme.depth(n)
-    near, far = _TABLES[scheme].prefix(k)
+    near, far = _prefix(scheme, k)
     return LinearForm(*near, k + 1, k + 2), LinearForm(*far, k + 1, k + 2)
 
 

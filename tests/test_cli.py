@@ -1,14 +1,16 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import gcdseq
 from gcdseq import contfrac, families
-from gcdseq.cli import _exact_text, main
+from gcdseq.cli import _exact_text, build_parser, main
 from gcdseq.contfrac import Scheme
 from gcdseq.recurrences import b, left_factorial
 
@@ -554,7 +556,10 @@ def test_input_keeps_the_digit_limit(tmp_path, capsys):
     bfile = tmp_path / "b.txt"
     _write_bfile(bfile, [(3, big)])
     code, _, err = run(capsys, "oeis-check", "--bfile", str(bfile), "--family", "main")
-    assert code == 2 and "line 2" in err
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and err.startswith(
+        f"gcdseq oeis-check: {bfile}: line 2: Exceeds the limit ({limit} digits) of an "
+        f"integer read: value has {limit + 1} digits, in ")
     cache = tmp_path / "cache.jsonl"
     cache.write_text('{"family": "main", "n": 3, "x": %s, "y_mod_x": 1, "d": 1, '
                      '"a": 5, "class": "prime"}\n' % big)
@@ -562,6 +567,22 @@ def test_input_keeps_the_digit_limit(tmp_path, capsys):
                          "--cache", str(cache))
     assert (code, out) == (0, "n,x,d,a,class\n3,5,1,5,prime\n4,11,1,11,prime\n")
     assert err == "warning: malformed cache line 1; ignored\n"
+
+
+def test_cache_reads_back_terms_past_the_digit_limit(tmp_path, capsys):
+    # x = 3(k+1) - k = 2k + 3 has 4301 digits at k = 5*10**4299 + 1: a cache
+    # line may hold as many digits as the run's own largest term
+    family = f"linear:{5 * 10**4299 + 1}"
+    cache = tmp_path / "cache.jsonl"
+    args = ("gen", "--family", family, "--from", "3", "--to", "3", "--format", "jsonl",
+            "--cache", str(cache))
+    code, first, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    written = cache.read_bytes()
+    assert len(written.split(b'"x": ')[1].split(b",")[0]) == 4301
+    code, second, err = run(capsys, *args)
+    assert (code, second, err) == (0, first, "")
+    assert cache.read_bytes() == written
 
 
 # ---------------------------------------------------------------------------
@@ -887,3 +908,19 @@ def test_import_gcdseq_loads_no_submodule_and_lists_its_names():
 def test_unknown_package_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="'gcdseq' has no attribute 'no_such_name'"):
         getattr(gcdseq, "no_such_name")
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+def test_readme_cli_block_parses():
+    # a renamed or removed option fails here; parsing runs no command
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    argvs = [shlex.split(line.partition("#")[0]) for line in block.splitlines()]
+    commands = [argv[1:] for argv in argvs if argv[:1] == ["gcdseq"]]
+    assert len(commands) == 18
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]

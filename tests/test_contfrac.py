@@ -93,11 +93,8 @@ def test_eval_interior_zero():
 
 def _eval_cf_per_level(spec):
     """Reference: one Fraction per level; the value, or the zero level."""
-    return _walk_levels(_levels(spec), spec.tail)
-
-
-def _walk_levels(levels, tail):
-    value = Fraction(tail)
+    levels = _levels(spec)
+    value = Fraction(spec.tail)
     for level in range(len(levels), 0, -1):
         p, c = levels[level - 1]
         if value == 0:
@@ -188,39 +185,43 @@ def test_eval_at_depth_matches_per_level_fractions():
         _assert_eval_matches(spec, _eval_cf_per_level(spec))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(-4, 4).filter(bool), st.integers(-3, 3)),
-                min_size=1, max_size=10))
-def test_table_matches_per_level_walk_for_any_levels(levels):
-    # the table's claims hold for every level function with nonzero p_j,
-    # including levels with c_j = 0, where zeros at several levels stack
-    table = contfrac._ConvergentTable(
-        SimpleNamespace(level=lambda j: (-1, 0) if j == 0 else levels[j - 1]))
-    for k in range(1, len(levels) + 1):
-        near, far = table.prefix(k)
-        for m in range(-6, 7):
-            num, den = near[0] * m + near[1], far[0] * m + far[1]
-            expected = _walk_levels(levels[:k], m)
-            level = table.zero_level(num, den, k)
-            got = Fraction(den, num) if level is None else ("zero", level)
-            assert got == expected, (k, m)
-
-
-def test_zero_index_confirms_every_hit(monkeypatch):
-    # with one key for every level, each lookup meets every level as a
-    # candidate: only the exact cross-multiplication may raise
-    monkeypatch.setattr(contfrac, "_key", lambda x, y: 0)
-    monkeypatch.setattr(contfrac, "_TABLES",
-                        {s: contfrac._ConvergentTable(s) for s in Scheme})
+def test_columns_satisfy_the_row_identity():
+    # the premise of the zero-level search: s y_k = !k x_k in the table's own columns
     for scheme in (Scheme.T1, Scheme.T2):
-        for n in range(3, 41):
+        s = contfrac._SCALE[scheme]
+        for k in range(1001):
+            x, y = contfrac._TABLES[scheme].value(k)
+            assert s * y == left_factorial(k) * x, (scheme, k)
+
+
+def test_zero_level_confirmation_decides(monkeypatch):
+    # wrong sequences in place of the left factorials make the bisection
+    # propose each level j = 1..K in turn for every fraction whose s*value is
+    # an integer t: only the table's own cross-multiplication may raise
+    wrong = []
+    monkeypatch.setattr(contfrac, "_lf_cache", SimpleNamespace(_terms=wrong))
+    proposed = 0
+    for scheme in (Scheme.T1, Scheme.T2):
+        s = contfrac._SCALE[scheme]
+        for n in range(3, 31):
+            k = scheme.depth(n)
             for m, expected in _per_level_over_tails(scheme, n, GRID_TAILS).items():
-                _assert_eval_matches(cf_spec(scheme, n, m), expected)
+                if isinstance(expected, tuple):
+                    continue
+                if (s * expected).denominator != 1:
+                    _assert_eval_matches(cf_spec(scheme, n, m), expected)
+                    continue
+                t = int(s * expected)
+                for j in range(1, k + 1):
+                    wrong[:] = [t - 1] * (j - 1) + [t] * (k - j + 1)
+                    _assert_eval_matches(cf_spec(scheme, n, m), expected)
+                    proposed += 1
+    assert proposed == 45860
 
 
 def test_convergent_table_concurrent_readers(monkeypatch):
     monkeypatch.setattr(contfrac, "_TABLES",
-                        {s: contfrac._ConvergentTable(s) for s in Scheme})
+                        {s: contfrac._convergents(s) for s in Scheme})
     tails = {-3, 0, 1, 2, 7, 10**12}
     expected = {(scheme, n): _per_level_over_tails(scheme, n, tails)
                 for scheme in (Scheme.T1, Scheme.T2) for n in range(3, 301)}
