@@ -9,16 +9,15 @@ first differences r(n+1) - r(n) of its first N terms (N-1 differences).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .conjectures import OccurrenceIndex
 from .errors import EmptyRange
 from .families import FamilySpec, Kind, MAIN, ROWLAND, scan
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     family: str
     terms: int
     measured: int
@@ -63,8 +62,7 @@ def efficiency(family: FamilySpec, count: int) -> EfficiencyReport:
     )
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     terms: int
     main: EfficiencyReport
     rowland: EfficiencyReport

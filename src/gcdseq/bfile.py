@@ -4,21 +4,32 @@ A b-file is plain ASCII: optional comment lines starting with '#', then one
 "<index> <value>" pair per line with strictly increasing indices. Blank
 lines are tolerated on input and never produced on output. A field is an
 optional '-' and ASCII digits; a data line with anything else ('+19', '1_1',
-a non-ASCII byte) is a parse error naming its line.
+a non-ASCII byte) is a parse error naming its line and quoting it, cut to
+its first 80 characters when longer.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BFileParseError
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     entries: tuple[tuple[int, int], ...]
     comments: tuple[str, ...]
+
+
+_QUOTE_LIMIT = 80  # characters of a data line that a parse error quotes
+
+
+def _quote(raw: str) -> str:
+    """``raw`` quoted for an error: whole up to ``_QUOTE_LIMIT`` characters,
+    else its first ``_QUOTE_LIMIT`` and its length."""
+    if len(raw) <= _QUOTE_LIMIT:
+        return repr(raw)
+    return f"{raw[:_QUOTE_LIMIT]!r}... ({len(raw)} characters)"
 
 
 class _DigitLimitError(ValueError):
@@ -53,14 +64,14 @@ def parse_bfile(text: str) -> BFile:
         fields = line.split()
         if len(fields) != 2:
             raise BFileParseError(
-                f"expected '<index> <value>', got {raw!r}", line_no
+                f"expected '<index> <value>', got {_quote(raw)}", line_no
             )
         try:
             index, value = map(read_int, fields)
         except _DigitLimitError as exc:
-            raise BFileParseError(f"{exc}, in {raw!r}", line_no) from None
+            raise BFileParseError(f"{exc}, in {_quote(raw)}", line_no) from None
         except ValueError:
-            raise BFileParseError(f"non-integer field in {raw!r}", line_no) from None
+            raise BFileParseError(f"non-integer field in {_quote(raw)}", line_no) from None
         if last_index is not None and index <= last_index:
             raise BFileParseError(
                 f"index {index} not above previous {last_index}", line_no

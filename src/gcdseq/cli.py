@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import random
@@ -71,8 +70,8 @@ _int_arg = _arg_type(read_int)
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a record
+        return {name: _jsonable(value) for name, value in zip(obj._fields, obj)}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Enum):
@@ -387,7 +386,7 @@ def _suite_fastpath(o):
 # suite -> (runner, the families its --family may name, by str(family), the
 # defaults of the other options it reads; giving any other is a usage error).
 # Families None: any family, default main; (): no --family. A runner returns
-# a library report or (body, clean).
+# a library report (a named tuple) or a plain (body, clean) tuple.
 _SUITE_RUNNERS = {
     "terms": (_suite_terms, None, {"to": 10000}),
     "theorem1": (_suite_theorem1, (),
@@ -425,7 +424,7 @@ def cmd_verify(args):
 
         family = families.MAIN
     result = runner(argparse.Namespace(family=family, **{**defaults, **given}))
-    if isinstance(result, tuple):
+    if type(result) is tuple:  # not a report, which is a tuple subclass
         body, clean = result
     else:
         body, clean = _jsonable(result), result.clean

@@ -66,8 +66,7 @@ p <= 2*n_max + 1: that is ``CoverageReport.sound_bound``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import UnsupportedFamily
 from .families import (
@@ -84,8 +83,7 @@ from .families import (
 from .primality import _U64, Verdict, is_prime
 
 
-@dataclass(frozen=True)
-class PrimesOrOneReport:
+class PrimesOrOneReport(NamedTuple):
     family: str
     terms: int
     ones: int
@@ -116,8 +114,7 @@ def verify_primes_or_one(family: FamilySpec, count: int) -> PrimesOrOneReport:
     return PrimesOrOneReport(str(family), count, ones, primes, tuple(composites), probable)
 
 
-@dataclass(frozen=True)
-class OccurrenceIndex:
+class OccurrenceIndex(NamedTuple):
     """The tally of one scan: its ones, and the indices that produced each value."""
 
     family: str
@@ -145,8 +142,7 @@ def occurrence_index(family: FamilySpec, n_max: int) -> OccurrenceIndex:
     return OccurrenceIndex.of(family, n_max, scan(family, family.first_index, n_max))
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     family: str
     n_max: int
     checked: int
@@ -192,8 +188,7 @@ def verify_symmetry(family: FamilySpec, n_max: int) -> SymmetryReport:
                           tuple(out_of_domain))
 
 
-@dataclass(frozen=True)
-class PairIdentityReport:
+class PairIdentityReport(NamedTuple):
     """Pairing laws over the main sequence up to an index bound.
 
     For a prime value p seen at exactly two indices n < m the two identities
@@ -276,8 +271,7 @@ def verify_pair_identities(family: FamilySpec, n_max: int) -> PairIdentityReport
     )
 
 
-@dataclass(frozen=True)
-class TripleRuleReport:
+class TripleRuleReport(NamedTuple):
     """The three-occurrence law of quad:2 over a scanned prefix.
 
     Primes seen at least three times must satisfy a_2(p + n) = p with n the
@@ -318,8 +312,7 @@ def verify_triple_rule_a2(count: int) -> TripleRuleReport:
     return TripleRuleReport(count, tuple(multiplicities), triples_checked, tuple(violations))
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Primes ending in 1 or 9 that the scanned main-sequence prefix missed.
 
     ``sound_bound`` is a value bound up to which absence is conclusive: each

@@ -87,9 +87,10 @@ Arithmetic is exact throughout: integers, and one normalisation into the
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import IndexBelowDomain, ZeroDenominator
 from .recurrences import _RecurrenceCache, _lf_cache, b, left_factorial
@@ -107,8 +108,7 @@ class Scheme(Enum):
         return n - 2 if self is Scheme.T1 else n - 1
 
 
-@dataclass(frozen=True)
-class CFSpec:
+class CFSpec(NamedTuple):
     """The fraction of ``scheme`` at ``n``: levels ``scheme.level(j)`` for
     j = 1..depth(n) from the outermost inward, innermost v = ``tail``."""
 
@@ -139,8 +139,14 @@ _TABLES = {scheme: _convergents(scheme) for scheme in Scheme}
 _SCALE = {Scheme.T1: 2, Scheme.T2: 1}  # s, with s y_k = !k x_k
 
 
+@lru_cache(maxsize=2)
 def _prefix(scheme, k):
-    """P_k = A_1 ... A_k as its rows, k >= 1."""
+    """P_k = A_1 ... A_k as its rows, k >= 1.
+
+    The identity suites keep n, and so k, fixed over all their m, so the
+    last two (scheme, k) asked serve almost every call. The table only
+    grows, so a held P_k never goes stale.
+    """
     table = _TABLES[scheme]
     (x, y), (x1, y1) = table.value(k), table.value(k - 1)
     p = scheme.level(k)[0]
@@ -185,8 +191,7 @@ def eval_cf(spec: CFSpec) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """A closed form of ``scheme`` at ``n`` as coefficient rows: p(m)/q(m)
     with p = p1*m + p0 and q = q1*m + q0. ``zero`` names q as printed."""
 
@@ -252,18 +257,22 @@ def theorem2_derived_form(n: int, m: int) -> Fraction:
     return closed_forms(Scheme.T2, n)[1].value(m)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """alpha * a_u + beta * a_v with v = u + 1."""
-
+class _LinearFields(NamedTuple):
     alpha: int
     beta: int
     u: int
     v: int
 
-    def __post_init__(self):
-        if self.v != self.u + 1:
+
+class LinearForm(_LinearFields):
+    """alpha * a_u + beta * a_v with v = u + 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: int, beta: int, u: int, v: int):
+        if v != u + 1:
             raise ValueError("linear form spans non-adjacent indices")
+        return super().__new__(cls, alpha, beta, u, v)
 
     def evaluate(self, a_u: int, a_v: int) -> int:
         return self.alpha * a_u + self.beta * a_v
@@ -280,8 +289,7 @@ def elimination_chain(scheme: Scheme, n: int) -> tuple[LinearForm, LinearForm]:
     return LinearForm(*near, k + 1, k + 2), LinearForm(*far, k + 1, k + 2)
 
 
-@dataclass(frozen=True)
-class Eq4Report:
+class Eq4Report(NamedTuple):
     """How the two-term form of a_1 compares with the printed coefficients.
 
     The printed claim is a_1 = (n-1) a_{n-1} - (n^2 - 2) a_n; the oracle
@@ -311,8 +319,7 @@ def verify_eq4(n: int) -> Eq4Report:
     )
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     scheme: Scheme
     n: int
     m: int

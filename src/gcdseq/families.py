@@ -80,9 +80,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import _backend
 from .bfile import read_int
@@ -98,19 +97,23 @@ class Kind(Enum):
     ROWLAND = "rowland"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Which sequence to compute; ``k`` only applies to quad/linear."""
-
+class _FamilyFields(NamedTuple):
     kind: Kind
     k: int | None = None
 
-    def __post_init__(self):
-        if self.kind in (Kind.QUADRATIC, Kind.LINEAR):
-            if self.k is None or self.k < 1:
-                raise ValueError(f"{self.kind.value} family needs integer k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"{self.kind.value} family takes no parameter")
+
+class FamilySpec(_FamilyFields):
+    """Which sequence to compute; ``k`` only applies to quad/linear."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: Kind, k: int | None = None):
+        if kind in (Kind.QUADRATIC, Kind.LINEAR):
+            if k is None or k < 1:
+                raise ValueError(f"{kind.value} family needs integer k >= 1")
+        elif k is not None:
+            raise ValueError(f"{kind.value} family takes no parameter")
+        return super().__new__(cls, kind, k)
 
     @property
     def first_index(self) -> int:
@@ -165,8 +168,7 @@ class Classification(Enum):
     COMPOSITE = "composite"
 
 
-@dataclass(frozen=True)
-class TermRecord:
+class TermRecord(NamedTuple):
     """One computed term: a*d == x exactly, y_mod_x is the partner mod x."""
 
     family: FamilySpec
@@ -410,8 +412,7 @@ def gcd_via_factorial(n: int, x: int) -> int:
     return math.gcd(x, _backend.factorial_mod(n - 1, x))
 
 
-@dataclass(frozen=True)
-class FactorialReplacementReport:
+class FactorialReplacementReport(NamedTuple):
     """Whether gcd(x, partner) == gcd(x, (n-1)!) across a main-sequence range."""
 
     n_from: int
@@ -441,8 +442,7 @@ def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> Factorial
     return FactorialReplacementReport(n_from, n_to, checked, tuple(bad))
 
 
-@dataclass(frozen=True)
-class StrategyEquivalenceReport:
+class StrategyEquivalenceReport(NamedTuple):
     families: tuple[str, ...]
     n_to: int
     checked: int

@@ -26,9 +26,9 @@ square root, or passed the Miller-Rabin test that is deterministic there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import NonPositive
 
@@ -39,7 +39,19 @@ _MR64_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
                 (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
                 (3825123056546413051, 9))
 _TRIAL_LIMIT = 10**6  # is_prime's trial division needs this <= _UNTRIED**2
-_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _primes_below(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+_SMALL_PRIMES = _primes_below(1000)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)  # one gcd with it tries every prime below 1000
 _UNTRIED = 1009  # the least prime above _SMALL_PRIMES
@@ -60,8 +72,7 @@ class Method(Enum):
     STRONG_PROBABLE = "strong_probable"
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(NamedTuple):
     value: int
     verdict: Verdict
     method: Method

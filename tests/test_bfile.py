@@ -25,7 +25,13 @@ def test_parse_truncated_line():
     with pytest.raises(BFileParseError) as exc:
         parse_bfile("3 5\n12\n")
     assert exc.value.line_no == 2
-    assert "12" in str(exc.value)
+    assert str(exc.value) == "line 2: expected '<index> <value>', got '12'"
+    # a line longer than 80 characters is quoted as its first 80 and its length
+    line = "4 5 " + "7" * 5000
+    with pytest.raises(BFileParseError) as exc:
+        parse_bfile(f"3 5\n{line}\n")
+    assert str(exc.value) == (f"line 2: expected '<index> <value>', got {line[:80]!r}"
+                              f"... (5004 characters)")
 
 
 def test_parse_non_integer():
@@ -33,10 +39,10 @@ def test_parse_non_integer():
         parse_bfile("3 five\n")
     assert exc.value.line_no == 1
     # int() accepts each of these; a b-file field is '-'? then ASCII digits
-    for line in ("4 1_1", "5 +19", "4 \u0661\u0661", "4 11\ufffd"):
+    for line in ("4 1_1", "5 +19", "4 \u0661\u0661", "4 11\ufffd", "4 " + "7" * 5000 + "x"):
         with pytest.raises(BFileParseError) as exc:
             parse_bfile(f"3 5\n{line}\n")
-        assert exc.value.line_no == 2
+        assert exc.value.line_no == 2 and len(str(exc.value)) < 150
 
 
 def test_parse_non_increasing_indices():

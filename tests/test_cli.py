@@ -237,6 +237,7 @@ def test_verify_terms_composites_exit_2(capsys):
 
 
 def test_verify_theorem1(capsys):
+    contfrac._prefix.cache_clear()
     code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--n-max", "12",
                        "--trials", "5", "--eq5-max", "30", "--seed", "7")
     assert code == 0
@@ -244,6 +245,8 @@ def test_verify_theorem1(capsys):
     assert report["cf_mismatches"] == [] and report["eq5_failures"] == []
     assert report["eq1_row_failures"] == []
     assert report["checked"] == 50  # 10 n values x 5 trials
+    # P_K is built once per n of each loop, not once per fraction evaluated
+    assert contfrac._prefix.cache_info().misses == len(range(3, 13)) + len(range(3, 31))
 
 
 def test_verify_theorem2(capsys):
@@ -695,6 +698,13 @@ def test_oeis_check_parse_error(tmp_path, capsys):
     code, out, err = run(capsys, "oeis-check", "--bfile", str(bpath), "--family", "main")
     assert code == 2 and out == ""
     assert "line 3" in err and err.count("\n") == 1
+    # a value past the input limit: the error names its digits and quotes
+    # a bounded prefix of the line, not all 4,301 digits
+    bpath.write_text("3 5\n4 " + "9" * 4301 + "\n")
+    code, out, err = run(capsys, "oeis-check", "--bfile", str(bpath), "--family", "main")
+    assert code == 2 and out == ""
+    assert "line 2" in err and "4301 digits" in err and err.count("\n") == 1
+    assert len(err) < 300
 
 
 def test_oeis_check_empty_file(tmp_path, capsys):
@@ -812,6 +822,13 @@ def test_compare_cli_prints_exact_ratios(capsys):
     report = json.loads(out)
     assert (report["distinct_prime_ratio"], report["main_ones_share"],
             report["rowland_ones_share"]) == ("21/4", "0", "3/4")
+    # a report prints its fields in declaration order, nested ones too
+    assert list(report) == ["terms", "main", "rowland", "distinct_prime_ratio",
+                            "main_ones_share", "rowland_ones_share"]
+    for side in ("main", "rowland"):
+        assert list(report[side]) == [
+            "family", "terms", "measured", "ones", "prime_terms", "composite_terms",
+            "distinct_primes", "max_prime", "primes", "new_prime_rate", "window"]
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +849,8 @@ if argv:
 else:
     gcdseq.cli.build_parser()
     code = 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gcdseq"))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("gcdseq") or m == "dataclasses")]))
 """
 
 
@@ -860,11 +878,22 @@ def test_identity_commands_skip_the_residue_engine(argv):
     assert not _ENGINE & set(loaded)
 
 
+# records are named tuples, so no command pays for importing ``dataclasses``
 @pytest.mark.parametrize("argv, loads, skips", [
+    ((), {"gcdseq.cli"}, {"dataclasses"}),
+    (("verify", "--suite", "theorem1", "--n-max", "6", "--trials", "2", "--eq5-max", "6"),
+     {"gcdseq.contfrac"}, {"dataclasses"}),
     (("verify", "--suite", "terms", "--to", "20"),
-     {"gcdseq.families", "gcdseq.primality", "gcdseq.conjectures"}, {"gcdseq.analytics"}),
-    (("compare", "--terms", "5"), {"gcdseq.analytics"}, set()),
-], ids=["terms", "compare"])
+     {"gcdseq.families", "gcdseq.primality", "gcdseq.conjectures"},
+     {"gcdseq.analytics", "dataclasses"}),
+    (("verify", "--suite", "symmetry", "--to", "20"), {"gcdseq.conjectures"},
+     {"gcdseq.analytics", "dataclasses"}),
+    (("gen", "--family", "main", "--from", "3", "--to", "20"), {"gcdseq.families"},
+     {"gcdseq.conjectures", "dataclasses"}),
+    (("compare", "--terms", "5"), {"gcdseq.analytics"}, {"dataclasses"}),
+    (("verify", "--suite", "fastpath", "--to", "20", "--k-max", "1"), {"gcdseq.families"},
+     {"gcdseq.conjectures", "dataclasses"}),
+], ids=["parser", "theorem1", "terms", "symmetry", "gen", "compare", "fastpath"])
 def test_commands_load_what_they_run(argv, loads, skips):
     code, loaded = _fresh(_RUN_IN_FRESH_PROCESS, *argv)
     assert code == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import threading
 from fractions import Fraction
@@ -357,7 +356,7 @@ def test_row_identity_by_scheme():
         assert eq1.row_identity() and derived.row_identity(), n
         assert not printed.row_identity(), n
     (eq1,) = contfrac.closed_forms(Scheme.T1, 9)
-    assert not dataclasses.replace(eq1, p=(eq1.p[0], eq1.p[1] + 1)).row_identity()
+    assert not eq1._replace(p=(eq1.p[0], eq1.p[1] + 1)).row_identity()
 
 
 def test_closed_forms_below_domain():
@@ -396,6 +395,11 @@ def test_chain_t2_concrete():
 def test_linear_form_adjacency():
     with pytest.raises(ValueError):
         LinearForm(1, 1, 3, 5)
+    with pytest.raises(ValueError):
+        LinearForm(alpha=1, beta=1, u=3, v=3)
+    form = LinearForm(1, 1, 3, 4)
+    with pytest.raises(AttributeError):
+        form.v = 5
 
 
 def _elimination_reference(scheme, n):

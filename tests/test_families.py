@@ -59,7 +59,20 @@ def test_familyspec_validation():
     with pytest.raises(ValueError):
         FamilySpec(Kind.QUADRATIC)
     with pytest.raises(ValueError):
+        FamilySpec(Kind.QUADRATIC, 0)
+    with pytest.raises(ValueError):
         FamilySpec(Kind.MAIN, 2)
+
+
+def test_records_are_immutable():
+    rec = term(MAIN, 8)
+    for record, field in ((rec, "a"), (rec, "classification"), (MAIN, "k"),
+                          (quadratic(2), "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        MAIN.extra = 1  # no instance dict either
+    assert rec == term(MAIN, 8) and MAIN == FamilySpec(Kind.MAIN)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from gcdseq.errors import NonPositive
 from gcdseq.primality import (
     _MR64_BASES,
     _MR64_BOUNDS,
+    _PRIMORIAL,
+    _SMALL_PRIMES,
     _TRIAL_LIMIT,
     _UNTRIED,
     Method,
@@ -75,6 +77,9 @@ def test_trial_division_exhaustive():
     # a composite below _UNTRIED**2 has a prime factor below _UNTRIED, so the
     # gcd with the primes below 1000 decides every value is_prime gives it
     assert _TRIAL_LIMIT <= _UNTRIED**2
+    # the sieved primes below 1000 are those that no smaller integer divides
+    assert _SMALL_PRIMES == [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+    assert len(_SMALL_PRIMES) == 168 and _PRIMORIAL == math.prod(_SMALL_PRIMES)
     flags = _sieve(_TRIAL_LIMIT)
     got = bytes([0]) + bytes(map(_trial_division, range(1, _TRIAL_LIMIT)))
     assert got == flags, _first_disagreement(got, flags)
