@@ -1,17 +1,22 @@
-"""Residue kernels: the blocked left-factorial walk and the factorial table.
+"""Residue kernels: the blocked factorial walks and the factorial table.
 
-A residue column (``families``) asks for consecutive t, so it keeps a
-``LeftFactorials`` walk, built with the map t -> 2x of its terms, and
-reads on from it whenever the column grows. The walk holds the exact integers t!
-and !t only at block starts t = 64j, and advances them a whole block at a
-time with one product and one sum. At a block start it reduces that exact pair
-once mod M, the product of the block's moduli, and steps through the block
-mod M to its end, so each block is listed once; since every 2x divides M,
-the residues mod 2x it hands out are exact. This is one level of the
-accumulating remainder tree of Costa-Gerbicz-Harvey (*A search for Wilson
-primes*, Math. Comp. 83, 2014): one bigint ``%`` per block of 64 terms
-instead of one per term. ``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x
-from the walk.
+A walk hands out residues for ascending t, each mod its own modulus
+``modulus(t)``. ``Factorials`` lists t! mod modulus(t); it holds the exact
+integer t! only at block starts t = 64j and advances it a whole block at a
+time with one product. At a block start it reduces that exact value once mod
+M, the product of the block's moduli, and steps through the block mod M to
+its end, so each block is listed once; since every modulus divides M, the
+residues it hands out are exact. This is one level of the accumulating
+remainder tree of Costa-Gerbicz-Harvey (*A search for Wilson primes*, Math.
+Comp. 83, 2014): one bigint ``%`` per block of 64 terms instead of one per
+term. ``verify_factorial_replacement`` (``families``) reads (n-1)! mod x
+from one, over m = n-1.
+
+``LeftFactorials`` is the same block engine with the exact left factorial
+!t kept beside t!, listing the pair (t! mod 2x, !t mod 2x). A residue column
+(``families``) asks for consecutive t, so it keeps one, built with the map
+t -> 2x of its terms, and reads on from it whenever the column grows.
+``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x from the walk.
 
 ``factorial_mod(m, x)`` (single terms' factor route and ``gcd_via_factorial``)
 reduces the largest stored exact (64*j)!, j < 64, with one bigint ``%``, then
@@ -47,29 +52,28 @@ def _block_step(j):
     return math.prod(range(lo + 1, lo + _STRIDE + 1)), q
 
 
-class LeftFactorials:
-    """An ascending walk over (t! mod 2x, !t mod 2x) for the terms of a scan.
+class Factorials:
+    """An ascending walk over t! mod ``modulus(t)``, for t >= ``t_from``.
 
-    ``modulus(t)`` is the modulus 2x of the term with this t, for every
-    t >= ``t_from``; !t = 0! + 1! + ... + (t-1)! is the left factorial, so
-    !0 = 0 and !(t+1) = !t + t!. The exact pair is kept at t = 64j only. The
-    first request in block j advances it there (one product and one sum per
-    block passed), reduces it mod M, the product of the moduli of the
-    block's t from the one asked for to the block's end 64j + 63, and steps
-    F = F*(t+1) mod M, S += F through the block, keeping F and S mod each
-    2x; later requests in the block are list lookups, so each block is
-    listed once. Asking for a smaller t than the last one, or any modulus
-    but ``modulus(t)``, is an error, so a residue handed out is never wrong.
+    The exact t! is kept at t = 64j only. The first request in block j
+    advances it there (one ``math.perm`` for all the blocks passed), reduces
+    it mod M, the product of the moduli of the block's t from the one asked
+    for to the block's end 64j + 63, and steps F = F*(t+1) mod M through the
+    block, keeping F mod each modulus; later requests in the block are list
+    lookups, so each block is listed once. Asking for a smaller t than the
+    last one, or any modulus but ``modulus(t)``, is an error, so a residue
+    handed out is never wrong.
     """
 
     def __init__(self, modulus, t_from):
         self._modulus = modulus
         self.t = t_from  # the last t asked for
-        self._start, self._fact, self._left = 0, 1, 0  # exact (t!, !t) at t = 64*_start
-        self._block, self._lo, self._moduli, self._pairs = -1, 0, (), ()
+        self._start, self._fact = 0, 1  # the exact t! at t = 64*_start
+        self._block, self._lo, self._moduli, self._listed = -1, 0, (), ()
 
     def at(self, t, m):
-        """Return ``(t! mod m, !t mod m)``, where m must be ``modulus(t)``."""
+        """Return what the walk lists for t mod m (t! mod m, or the pair of
+        ``LeftFactorials``), where m must be ``modulus(t)``."""
         if t < self.t:
             raise ValueError(f"walk is at t={self.t}, cannot step back to t={t}")
         self.t = t
@@ -78,23 +82,60 @@ class LeftFactorials:
         i = t - self._lo
         if m != self._moduli[i]:
             raise ValueError(f"the walk serves t={t} mod {self._moduli[i]}, not mod {m}")
-        return self._pairs[i]
+        return self._listed[i]
 
     def _fill(self, lo):
-        """Advance the exact pair to the start of lo's block and list the
+        """Advance the exact state to the start of lo's block and list the
         residues of the block's t from lo to its end."""
         j = lo // _STRIDE
+        self._advance(j)
+        ts = range(lo, _STRIDE * (j + 1))
+        moduli = [self._modulus(t) for t in ts]
+        listed = self._list(ts, moduli, math.prod(moduli))
+        self._block, self._lo, self._moduli, self._listed = j, lo, moduli, listed
+
+    def _advance(self, j):
+        """The exact t! from t = 64*_start to t = 64j: (64j)!/(64*_start)! in one product."""
+        self._fact *= math.perm(_STRIDE * j, _STRIDE * (j - self._start))
+        self._start = j
+
+    def _list(self, ts, moduli, big):
+        """t! mod m for t in ``ts`` and m in ``moduli``, stepped mod ``big``."""
+        f = self._fact % big
+        for t in range(_STRIDE * self._start, ts.start):
+            f = f * (t + 1) % big
+        listed = []
+        for t, m in zip(ts, moduli):
+            listed.append(f % m)
+            f = f * (t + 1) % big
+        return listed
+
+
+class LeftFactorials(Factorials):
+    """An ascending walk over (t! mod 2x, !t mod 2x) for the terms of a scan.
+
+    ``modulus(t)`` is the modulus 2x of the term with this t, for every
+    t >= ``t_from``; !t = 0! + 1! + ... + (t-1)! is the left factorial, so
+    !0 = 0 and !(t+1) = !t + t!. The walk is ``Factorials``' with the exact
+    !t kept beside t! at t = 64j (one product and one sum per block passed)
+    and S += F stepped beside F, so ``at`` returns the pair
+    ``(t! mod m, !t mod m)``.
+    """
+
+    def __init__(self, modulus, t_from):
+        super().__init__(modulus, t_from)
+        self._left = 0  # the exact !t at t = 64*_start
+
+    def _advance(self, j):
         f, s = self._fact, self._left
         for k in range(self._start, j):
             p, q = _block_step(k)
             f, s = f * p, s + f * q
         self._start, self._fact, self._left = j, f, s
-        first = _STRIDE * j
-        ts = range(lo, first + _STRIDE)
-        moduli = [self._modulus(t) for t in ts]
-        big = math.prod(moduli)
-        f, s = f % big, s % big
-        for t in range(first, lo):
+
+    def _list(self, ts, moduli, big):
+        f, s = self._fact % big, self._left % big
+        for t in range(_STRIDE * self._start, ts.start):
             s += f
             f = f * (t + 1) % big
         pairs = []
@@ -102,7 +143,7 @@ class LeftFactorials:
             pairs.append((f % m, s % m))
             s += f
             f = f * (t + 1) % big
-        self._block, self._lo, self._moduli, self._pairs = j, lo, moduli, pairs
+        return pairs
 
 
 def b_mod_pair(t, x, walk):

@@ -5,7 +5,8 @@ A b-file is plain ASCII: optional comment lines starting with '#', then one
 lines are tolerated on input and never produced on output. A field is an
 optional '-' and ASCII digits; a data line with anything else ('+19', '1_1',
 a non-ASCII byte) is a parse error naming its line and quoting it, cut to
-its first 80 characters when longer.
+its first 80 characters when longer; an index not above the previous one
+is cut the same way.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ class BFile(NamedTuple):
 _QUOTE_LIMIT = 80  # characters of a data line that a parse error quotes
 
 
-def _quote(raw: str) -> str:
-    """``raw`` quoted for an error: whole up to ``_QUOTE_LIMIT`` characters,
+def _quote(raw: str, show=repr) -> str:
+    """``raw`` shown for an error: whole up to ``_QUOTE_LIMIT`` characters,
     else its first ``_QUOTE_LIMIT`` and its length."""
     if len(raw) <= _QUOTE_LIMIT:
-        return repr(raw)
-    return f"{raw[:_QUOTE_LIMIT]!r}... ({len(raw)} characters)"
+        return show(raw)
+    return f"{show(raw[:_QUOTE_LIMIT])}... ({len(raw)} characters)"
 
 
 class _DigitLimitError(ValueError):
@@ -74,7 +75,8 @@ def parse_bfile(text: str) -> BFile:
             raise BFileParseError(f"non-integer field in {_quote(raw)}", line_no) from None
         if last_index is not None and index <= last_index:
             raise BFileParseError(
-                f"index {index} not above previous {last_index}", line_no
+                f"index {_quote(str(index), str)} not above previous "
+                f"{_quote(str(last_index), str)}", line_no
             )
         last_index = index
         entries.append((index, value))

@@ -21,9 +21,7 @@ import os
 import random
 import sys
 from enum import Enum
-from fractions import Fraction
 
-from . import contfrac
 from .bfile import format_bfile, read_bfile, read_int
 from .errors import (
     BFileParseError,
@@ -72,7 +70,8 @@ _int_arg = _arg_type(read_int)
 def _jsonable(obj):
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a record
         return {name: _jsonable(value) for name, value in zip(obj._fields, obj)}
-    if isinstance(obj, Fraction):
+    fractions = sys.modules.get("fractions")  # no Fraction exists until it is loaded
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return str(obj)
     if isinstance(obj, Enum):
         return obj.value
@@ -131,14 +130,16 @@ def _read_cache_line(line):
 
 
 def _cached_records(family, n_from, n_to, cache_path):
-    """Term dicts for the range, read from and written back to the cache.
+    """Term dicts for the range, read from and written back to the cache,
+    and the JSONL line written for each, or None where none was.
 
     Every term comes from one ``scan`` of the range. A cached entry equal to
     the scanned record is kept as read; any other entry for the range, and
     any malformed line, gets one warning on stderr and is dropped. A run that
     adds a term or drops a line rewrites the whole file (valid entries in
     file order, then fresh ones) through a temporary file and ``os.replace``;
-    a run served wholly from a clean cache writes nothing.
+    a run served wholly from a clean cache writes nothing. Each fresh record
+    is encoded once, and the caller prints that same line.
     """
     from . import families
 
@@ -165,7 +166,7 @@ def _cached_records(family, n_from, n_to, cache_path):
                     continue
                 cached[(rec["family"], rec["n"])] = rec
     records = []
-    fresh = []
+    fresh = []  # positions in records
     for scanned in families.scan(family, n_from, n_to):
         rec = scanned.as_dict()
         hit = cached.get((key, scanned.n))
@@ -176,14 +177,18 @@ def _cached_records(family, n_from, n_to, cache_path):
                 print(f"warning: invalid cache entry for {key} n={scanned.n}; recomputed",
                       file=sys.stderr)
                 del cached[(key, scanned.n)]
-            fresh.append(rec)
+            fresh.append(len(records))
         records.append(rec)
+    lines = [None] * len(records)
     if cache_path and (fresh or dropped):
         tmp = f"{cache_path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="ascii") as fh, _exact_text():
-                for rec in [*cached.values(), *fresh]:
+                for rec in cached.values():
                     fh.write(json.dumps(rec) + "\n")
+                for i in fresh:
+                    lines[i] = json.dumps(records[i]) + "\n"
+                    fh.write(lines[i])
             os.replace(tmp, cache_path)
         except OSError as exc:
             # name the path the user gave, not the temporary file beside it
@@ -191,7 +196,7 @@ def _cached_records(family, n_from, n_to, cache_path):
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    return records
+    return records, lines
 
 
 def cmd_gen(args):
@@ -203,14 +208,15 @@ def cmd_gen(args):
 
     families._check_range(args.family, args.n_from, args.n_to)
     try:
-        records = _cached_records(args.family, args.n_from, args.n_to, args.cache)
+        records, lines = _cached_records(args.family, args.n_from, args.n_to, args.cache)
         with _exact_text():
             if args.format == "csv":
-                lines = ["n,x,d,a,class"]
-                lines += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
-                _emit("\n".join(lines) + "\n", args.out)
+                rows = ["n,x,d,a,class"]
+                rows += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
+                _emit("\n".join(rows) + "\n", args.out)
             elif args.format == "jsonl":
-                _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
+                _emit("".join(line or json.dumps(r) + "\n"
+                              for r, line in zip(records, lines)), args.out)
             else:  # bfile
                 entries = [(r["n"] + (args.offset or 0), r["a"]) for r in records]
                 _emit(format_bfile(entries), args.out)
@@ -234,6 +240,8 @@ def _identity_indices(n_max):
 
 
 def _suite_theorem1(o):
+    from . import contfrac
+
     indices = _identity_indices(o.to)
     if o.trials < 1:
         raise EmptyRange(f"need at least one trial per n, got {o.trials}")
@@ -279,6 +287,8 @@ def _suite_theorem1(o):
 
 
 def _suite_theorem2(o):
+    from . import contfrac
+
     indices = _identity_indices(o.to)
     if o.m_min > o.m_max:
         raise EmptyRange(f"empty m range {o.m_min}..{o.m_max}")
@@ -326,6 +336,8 @@ def _suite_theorem2(o):
 
 
 def _suite_eq4(o):
+    from . import contfrac
+
     rows = []
     clean = True
     for n in _identity_indices(o.to):
@@ -438,6 +450,8 @@ def cmd_verify(args):
 
 @_exact_text()
 def cmd_cf(args):
+    from . import contfrac
+
     scheme = contfrac.Scheme(args.scheme)
     try:
         report = contfrac.verify_theorem(scheme, args.n, args.m)

@@ -23,11 +23,14 @@ For main (c = 1, t = n-3) this proves the factorial-replacement law that
 gcd(x, partner) = gcd(x, 2*partner) = gcd(x, (n-1)*(n-3)!), and
 x = (n-2)(n+1) + 1 is prime to n-2, so this is gcd(x, (n-1)!) for every
 n >= 3 (by hand: gcd(5, 1) = gcd(5, 2!) and gcd(11, 7) = gcd(11, 3!)).
+Its (n-1)! side reads a ``_backend.Factorials`` walk over m = n-1 with the
+modulus x(m+1) (``gcd_via_factorial`` per n from a far start), and never
+the partner's column, so the two sides stay independent computations.
 
 The partner reaches a record by one of three routes. They must agree
 residue for residue, which is record for record: every route takes x from
-``_form``, and ``_record`` makes d, a and the class from x and the
-residue. The routes are:
+``_form``, and d, a and the class come from x and the residue alone
+(``_record``, and the same three lines in ``scan``). The routes are:
 
 * exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
 * column (``scan``): the partner residues of a partner form are kept once
@@ -37,16 +40,18 @@ residue. The routes are:
   column. It holds the exact t! and !t at every 64th t and reduces them
   once per block of 64 terms, mod the product of the block's moduli 2x, so
   each term reads t! and !t mod 2x, where 2*b(t-1) = (t+1)*!t and
-  2*b(t) = (t+2)*(!t + t!). A scan past the column's end grows it, and
-  the walk reads on from where it stopped, listing each block to its end
-  once, so no term is walked twice in a process. A range
-  that starts farther past the column's end than it is long would spend
-  most of its time walking up to it, so it takes the factor route per
-  term and leaves the column as it is. The column is an ``array('Q')``
-  of 8 bytes a residue until the first residue of 2**64 or more, which
-  only families with a large k reach; then it widens to a list of ints
-  and goes on growing, so those families stay exact. A Rowland scan has
-  no partner and reads no column;
+  2*b(t) = (t+2)*(!t + t!). A scan past the column's end grows it, in one
+  loop with one ``b_mod_pair`` per term, and the walk reads on from where
+  it stopped, listing each block to its end once, so no term is walked
+  twice in a process; the scan then builds each record straight from a
+  slice of the column. A range that starts farther past the column's end
+  than it is long would spend most of its time walking up to it, so it
+  takes the factor route per term and leaves the column as it is
+  (``_partner_residues`` is the one place that chooses). The column is an
+  ``array('Q')`` of 8 bytes a residue until the first residue of 2**64 or
+  more, which only families with a large k reach; then it widens to a list
+  of ints and goes on growing, so those families stay exact. A Rowland
+  scan has no partner and reads no column;
 * factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
   the prime factorisation of x, as follows.
 
@@ -323,35 +328,35 @@ def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST)
 class _ResidueColumn(_RecurrenceCache):
     """The partner residues y mod x of one partner form, n = 3, 4, ...
 
-    It grows as every ``_RecurrenceCache`` does, under its lock, into an
-    ``array('Q')``. Each step reads b(t-1) and b(t) mod x from a single
-    ``LeftFactorials`` walk, built on the first growth, so every growth
-    reads on where the column ends and no term is walked twice. The first
-    residue of 2**64 or more widens the array to a list, and the column
-    goes on growing.
+    It grows under the ``_RecurrenceCache`` lock, in one loop that reads
+    b(t-1) and b(t) mod x of each term from a single ``LeftFactorials``
+    walk, built on the first growth, so every growth reads on where the
+    column ends and no term is walked twice. The residues are an
+    ``array('Q')`` until the first of 2**64 or more, which widens them to a
+    list, and the column goes on growing.
     """
 
     def __init__(self, family: FamilySpec):
+        super().__init__(family.first_index, (), None)
         self._form, self._walk = _form(family), None
-        super().__init__(family.first_index, (), self._residue)
         self._terms = array("Q")  # 8 bytes a residue, in place of the list
 
-    def _residue(self, n, terms):
-        x, t, c, e = self._form(n)
-        b_prev, b_cur = _backend.b_mod_pair(t, x, self._walk)  # b(t-1), b(t)
-        return (c * b_cur + e * b_prev) % x
-
     def _grow(self, pos):
+        form, first, terms = self._form, self._first, self._terms
         if self._walk is None:
-            shift = self._first - self._form(self._first)[1]  # n - t, the same for every n
+            shift = first - form(first)[1]  # n - t, the same for every n
             self._walk = _backend.LeftFactorials(
-                lambda t: 2 * self._form(t + shift)[0], self._first - shift)
-        try:
-            super()._grow(pos)
-        except OverflowError:  # a residue of 2**64 or more
-            # widen; the walk is still at this t, so it reads it again
-            self._terms = list(self._terms)
-            super()._grow(pos)
+                lambda t: 2 * form(t + shift)[0], first - shift)
+        walk = self._walk
+        for n in range(first + len(terms), first + pos + 1):
+            x, t, c, e = form(n)
+            b_prev, b_cur = _backend.b_mod_pair(t, x, walk)  # b(t-1), b(t)
+            y = (c * b_cur + e * b_prev) % x
+            try:
+                terms.append(y)
+            except OverflowError:  # a residue of 2**64 or more: widen
+                terms = self._terms = list(terms)
+                terms.append(y)
 
     def residues(self, n_from: int, n_to: int):
         """The residues held for n_from..n_to."""
@@ -370,23 +375,19 @@ def _column(family: FamilySpec) -> _ResidueColumn:
     return column
 
 
-def _residues(family: FamilySpec, n_from: int, n_to: int) -> Iterator[tuple]:
-    """(n, (x, t, c, e), y mod x) for n_from..n_to, ascending, by the routes
-    of a scan.
+def _partner_residues(family: FamilySpec, n_from: int, n_to: int):
+    """y mod x for n_from..n_to, ascending: the one place a scan's route is chosen.
 
     A range that starts farther past the column's end than it is long takes
-    the factor route per term and leaves the column as it is. Any other
-    range extends the column to n_to and reads it.
+    the factor route per term, lazily, and leaves the column as it is. Any
+    other range extends the column to n_to and reads a slice of it.
     """
-    column, form = _column(family), _form(family)
+    column = _column(family)
     if n_from - column.high_water - 1 > n_to - n_from:
-        for n in range(n_from, n_to + 1):
-            definition = form(n)
-            yield n, definition, _partner_residue(*definition)
-        return
+        form = _form(family)
+        return (_partner_residue(*form(n)) for n in range(n_from, n_to + 1))
     column.value(n_to)
-    for n, y in zip(range(n_from, n_to + 1), column.residues(n_from, n_to)):
-        yield n, form(n), y
+    return column.residues(n_from, n_to)
 
 
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
@@ -394,15 +395,20 @@ def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
 
     The partner residues come from the family's column, or from the factor
     route per term when the range starts far past the column's end (module
-    docstring). A Rowland scan has no partner and reads no column.
+    docstring); each record is built here from x and its residue, as
+    ``_record`` builds it. A Rowland scan has no partner and reads no column.
     """
     _check_range(family, n_from, n_to)
     if family.kind is Kind.ROWLAND:
         for n in range(n_from, n_to + 1):
             yield _term(family, n, Strategy.MODULAR_FAST)
         return
-    for n, (x, *_), y_mod_x in _residues(family, n_from, n_to):
-        yield _record(family, n, x, y_mod_x)
+    form = _form(family)
+    for n, y_mod_x in zip(range(n_from, n_to + 1), _partner_residues(family, n_from, n_to)):
+        x = form(n)[0]
+        d = math.gcd(x, y_mod_x)
+        a = x // d
+        yield TermRecord(family, n, x, y_mod_x, d, a, _classify(a))
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
@@ -426,16 +432,30 @@ class FactorialReplacementReport(NamedTuple):
 
 
 def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> FactorialReplacementReport:
-    """The partner side reads main's residues as ``scan`` does, from the
-    column or by the factor route per n when n_from is far out; the
-    factorial side, an independent route, runs ``factorial_mod`` per n: a
-    stored (64*j)!, then 64 factors per ``%``."""
+    """gcd(x, partner) against gcd(x, (n-1)!) for every n in the range.
+
+    The partner side reads main's residues as ``scan`` does, from the
+    column or by the factor route per n when n_from is far out. The
+    factorial side is an independent route that reads neither: a
+    ``Factorials`` walk over m = n-1 with modulus x(m+1), one ``%`` per
+    block of 64, when n_from - 3 <= n_to - n_from, and ``gcd_via_factorial``
+    per n from a farther start.
+    """
     _check_range(MAIN, n_from, n_to)
+    form = _form(MAIN)
+    if n_from - 3 <= n_to - n_from:
+        walk = _backend.Factorials(lambda m: form(m + 1)[0], n_from - 1)
+
+        def gcd_factorial(n, x):
+            return math.gcd(x, walk.at(n - 1, x))
+    else:
+        gcd_factorial = gcd_via_factorial
     bad = []
     checked = 0
-    for n, (x, *_), y_mod_x in _residues(MAIN, n_from, n_to):
+    for n, y_mod_x in zip(range(n_from, n_to + 1), _partner_residues(MAIN, n_from, n_to)):
+        x = form(n)[0]
         d_partner = math.gcd(x, y_mod_x)
-        d_fact = gcd_via_factorial(n, x)
+        d_fact = gcd_factorial(n, x)
         checked += 1
         if d_partner != d_fact:
             bad.append((n, d_partner, d_fact))
@@ -469,8 +489,11 @@ def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
     mismatches = []
     checked = 0
     for family in specs:
-        _check_range(family, family.first_index, n_to)
-        for n, (x, t, c, e), scanned in _residues(family, family.first_index, n_to):
+        first = family.first_index
+        _check_range(family, first, n_to)
+        form = _form(family)
+        for n, scanned in zip(range(first, n_to + 1), _partner_residues(family, first, n_to)):
+            x, t, c, e = form(n)
             exact = gcd_partner(family, n) % x
             fast = _partner_residue(x, t, c, e)
             checked += 1

@@ -67,3 +67,15 @@ def test_format_and_roundtrip():
 
 def test_format_empty():
     assert format_bfile(()) == ""
+
+
+def test_parse_non_increasing_long_indices_are_cut():
+    # indices of 4,300 and 4,299 digits: the error shows the first 80 of each
+    # and their lengths, as a quoted line is cut
+    with pytest.raises(BFileParseError) as exc:
+        parse_bfile(f"{10**4299} 5\n{10**4298} 11\n")
+    assert exc.value.line_no == 2
+    head = "1" + "0" * 79
+    assert (f"index {head}... (4299 characters) not above previous "
+            f"{head}... (4300 characters)") in str(exc.value)
+    assert len(str(exc.value)) < 250

@@ -874,25 +874,32 @@ def _fresh(code, *args):
 def test_identity_commands_skip_the_residue_engine(argv):
     code, loaded = _fresh(_RUN_IN_FRESH_PROCESS, *argv)
     assert code == 0
-    assert {"gcdseq", "gcdseq.cli", "gcdseq.contfrac", "gcdseq.recurrences"} <= set(loaded)
+    loads = {"gcdseq", "gcdseq.cli", "gcdseq.recurrences"}
+    if argv:  # building the parser alone loads no fraction engine
+        loads.add("gcdseq.contfrac")
+    assert loads <= set(loaded)
     assert not _ENGINE & set(loaded)
 
 
-# records are named tuples, so no command pays for importing ``dataclasses``
+# records are named tuples, so no command pays for importing ``dataclasses``;
+# only the fraction commands load the fraction engine
+_NO_FRACTIONS = {"dataclasses", "gcdseq.contfrac", "fractions"}
+
+
 @pytest.mark.parametrize("argv, loads, skips", [
-    ((), {"gcdseq.cli"}, {"dataclasses"}),
+    ((), {"gcdseq.cli"}, _NO_FRACTIONS),
     (("verify", "--suite", "theorem1", "--n-max", "6", "--trials", "2", "--eq5-max", "6"),
      {"gcdseq.contfrac"}, {"dataclasses"}),
     (("verify", "--suite", "terms", "--to", "20"),
      {"gcdseq.families", "gcdseq.primality", "gcdseq.conjectures"},
-     {"gcdseq.analytics", "dataclasses"}),
+     {"gcdseq.analytics", *_NO_FRACTIONS}),
     (("verify", "--suite", "symmetry", "--to", "20"), {"gcdseq.conjectures"},
-     {"gcdseq.analytics", "dataclasses"}),
+     {"gcdseq.analytics", *_NO_FRACTIONS}),
     (("gen", "--family", "main", "--from", "3", "--to", "20"), {"gcdseq.families"},
-     {"gcdseq.conjectures", "dataclasses"}),
-    (("compare", "--terms", "5"), {"gcdseq.analytics"}, {"dataclasses"}),
+     {"gcdseq.conjectures", *_NO_FRACTIONS}),
+    (("compare", "--terms", "5"), {"gcdseq.analytics"}, {"dataclasses", "gcdseq.contfrac"}),
     (("verify", "--suite", "fastpath", "--to", "20", "--k-max", "1"), {"gcdseq.families"},
-     {"gcdseq.conjectures", "dataclasses"}),
+     {"gcdseq.conjectures", *_NO_FRACTIONS}),
 ], ids=["parser", "theorem1", "terms", "symmetry", "gen", "compare", "fastpath"])
 def test_commands_load_what_they_run(argv, loads, skips):
     code, loaded = _fresh(_RUN_IN_FRESH_PROCESS, *argv)

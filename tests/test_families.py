@@ -523,6 +523,19 @@ def test_factorial_replacement_walks_its_partner_side(fresh_columns):
     assert spy.call_count == 1
 
 
+def test_factorial_replacement_walks_its_factorial_side(fresh_columns):
+    list(scan(MAIN, 3, 5010))  # the partner side reads main's column throughout
+    with mock.patch.object(_backend, "factorial_mod", wraps=_backend.factorial_mod) as spy:
+        assert verify_factorial_replacement(3, 5010).clean  # one walk over m = 2..5009
+        assert verify_factorial_replacement(103, 203).clean  # n_from - 3 = n_to - n_from
+        assert spy.call_count == 0
+        # a farther start: gcd_via_factorial per n
+        assert verify_factorial_replacement(104, 203).clean
+        assert verify_factorial_replacement(5000, 5010).clean
+    assert [c.args for c in spy.call_args_list] == [
+        (n - 1, n * n - n - 1) for n in (*range(104, 204), *range(5000, 5011))]
+
+
 # ---------------------------------------------------------------------------
 # the residue column: one per partner form per process
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdseq import _backend
+from gcdseq.families import gcd_via_factorial
 from gcdseq.recurrences import b, left_factorial
 
 from reference_chain import second_order_chain
@@ -88,6 +89,51 @@ def test_left_factorial_walk_refuses_another_modulus():
     assert walk.at(70, 2 * 4971) == (math.factorial(70) % 9942, left_factorial(70) % 9942)
     with pytest.raises(ValueError, match="not mod"):
         _backend.b_mod_pair(70, 4970, walk)
+
+
+def _main_x(n):
+    return n * n - n - 1
+
+
+# (n_from, n_to - n_from) over main, with m = n - 1 the walk's t
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=1500), st.integers(min_value=0, max_value=200))
+@example(3, 0)      # a single term at the first index, m = 2
+@example(64, 2)     # m = 63, 64, 65: across a block edge
+@example(65, 0)     # a single term at a block start, m = 64
+@example(66, 0)     # a single term just past it, m = 65
+@example(100, 100)  # starts mid-block, crosses two block edges
+@example(1400, 199)
+def test_factorial_walk_matches_gcd_via_factorial(n_from, width):
+    walk = _backend.Factorials(lambda m: _main_x(m + 1), n_from - 1)
+    for n in range(n_from, n_from + width + 1):
+        x = _main_x(n)
+        r = walk.at(n - 1, x)
+        assert r == _backend.factorial_mod(n - 1, x), n
+        assert math.gcd(x, r) == gcd_via_factorial(n, x), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=700), min_size=1, max_size=12).map(sorted),
+       st.lists(st.one_of(st.just(1), st.integers(min_value=2, max_value=2**70)),
+                min_size=1, max_size=70))
+@example([0, 63, 64, 65, 127, 128], [1, 2**70 + 1, 97])
+@example([5, 5, 5], [8])
+def test_factorial_walk_with_a_modulus_per_term(ts, ms):
+    modulus = lambda t: ms[t % len(ms)]  # noqa: E731
+    walk = _backend.Factorials(modulus, ts[0])
+    assert [walk.at(t, modulus(t)) for t in ts] == [math.factorial(t) % modulus(t) for t in ts]
+
+
+def test_factorial_walk_refuses_to_step_back_or_another_modulus():
+    walk = _backend.Factorials(lambda m: _main_x(m + 1), 2)
+    assert walk.at(70, _main_x(71)) == math.factorial(70) % _main_x(71)
+    with pytest.raises(ValueError, match="step back"):
+        walk.at(69, _main_x(70))
+    for t, m in ((70, _main_x(70)), (71, 2 * _main_x(72)), (128, _main_x(128))):
+        with pytest.raises(ValueError, match="not mod"):
+            walk.at(t, m)
+    assert walk.at(128, _main_x(129)) == math.factorial(128) % _main_x(129)
 
 
 def _walked_and_exact(ts, x_of):
