@@ -130,16 +130,14 @@ def _read_cache_line(line):
 
 
 def _cached_records(family, n_from, n_to, cache_path):
-    """Term dicts for the range, read from and written back to the cache,
-    and the JSONL line written for each, or None where none was.
+    """Term dicts for the range, read from and written back to the cache.
 
     Every term comes from one ``scan`` of the range. A cached entry equal to
     the scanned record is kept as read; any other entry for the range, and
     any malformed line, gets one warning on stderr and is dropped. A run that
     adds a term or drops a line rewrites the whole file (valid entries in
     file order, then fresh ones) through a temporary file and ``os.replace``;
-    a run served wholly from a clean cache writes nothing. Each fresh record
-    is encoded once, and the caller prints that same line.
+    a run served wholly from a clean cache writes nothing.
     """
     from . import families
 
@@ -166,7 +164,7 @@ def _cached_records(family, n_from, n_to, cache_path):
                     continue
                 cached[(rec["family"], rec["n"])] = rec
     records = []
-    fresh = []  # positions in records
+    fresh = []
     for scanned in families.scan(family, n_from, n_to):
         rec = scanned.as_dict()
         hit = cached.get((key, scanned.n))
@@ -177,18 +175,14 @@ def _cached_records(family, n_from, n_to, cache_path):
                 print(f"warning: invalid cache entry for {key} n={scanned.n}; recomputed",
                       file=sys.stderr)
                 del cached[(key, scanned.n)]
-            fresh.append(len(records))
+            fresh.append(rec)
         records.append(rec)
-    lines = [None] * len(records)
     if cache_path and (fresh or dropped):
         tmp = f"{cache_path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="ascii") as fh, _exact_text():
-                for rec in cached.values():
+                for rec in [*cached.values(), *fresh]:
                     fh.write(json.dumps(rec) + "\n")
-                for i in fresh:
-                    lines[i] = json.dumps(records[i]) + "\n"
-                    fh.write(lines[i])
             os.replace(tmp, cache_path)
         except OSError as exc:
             # name the path the user gave, not the temporary file beside it
@@ -196,7 +190,7 @@ def _cached_records(family, n_from, n_to, cache_path):
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    return records, lines
+    return records
 
 
 def cmd_gen(args):
@@ -208,15 +202,14 @@ def cmd_gen(args):
 
     families._check_range(args.family, args.n_from, args.n_to)
     try:
-        records, lines = _cached_records(args.family, args.n_from, args.n_to, args.cache)
+        records = _cached_records(args.family, args.n_from, args.n_to, args.cache)
         with _exact_text():
             if args.format == "csv":
-                rows = ["n,x,d,a,class"]
-                rows += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
-                _emit("\n".join(rows) + "\n", args.out)
+                lines = ["n,x,d,a,class"]
+                lines += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
+                _emit("\n".join(lines) + "\n", args.out)
             elif args.format == "jsonl":
-                _emit("".join(line or json.dumps(r) + "\n"
-                              for r, line in zip(records, lines)), args.out)
+                _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
             else:  # bfile
                 entries = [(r["n"] + (args.offset or 0), r["a"]) for r in records]
                 _emit(format_bfile(entries), args.out)

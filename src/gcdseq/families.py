@@ -24,13 +24,13 @@ gcd(x, partner) = gcd(x, 2*partner) = gcd(x, (n-1)*(n-3)!), and
 x = (n-2)(n+1) + 1 is prime to n-2, so this is gcd(x, (n-1)!) for every
 n >= 3 (by hand: gcd(5, 1) = gcd(5, 2!) and gcd(11, 7) = gcd(11, 3!)).
 Its (n-1)! side reads a ``_backend.Factorials`` walk over m = n-1 with the
-modulus x(m+1) (``gcd_via_factorial`` per n from a far start), and never
-the partner's column, so the two sides stay independent computations.
+modulus x(m+1), from any start, and never the partner's column, so the two
+sides stay independent computations.
 
 The partner reaches a record by one of three routes. They must agree
 residue for residue, which is record for record: every route takes x from
-``_form``, and d, a and the class come from x and the residue alone
-(``_record``, and the same three lines in ``scan``). The routes are:
+``_form``, and ``_record`` makes d, a and the class from x and the
+residue. The routes are:
 
 * exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
 * column (``scan``): the partner residues of a partner form are kept once
@@ -43,15 +43,15 @@ residue for residue, which is record for record: every route takes x from
   2*b(t) = (t+2)*(!t + t!). A scan past the column's end grows it, in one
   loop with one ``b_mod_pair`` per term, and the walk reads on from where
   it stopped, listing each block to its end once, so no term is walked
-  twice in a process; the scan then builds each record straight from a
-  slice of the column. A range that starts farther past the column's end
-  than it is long would spend most of its time walking up to it, so it
-  takes the factor route per term and leaves the column as it is
-  (``_partner_residues`` is the one place that chooses). The column is an
-  ``array('Q')`` of 8 bytes a residue until the first residue of 2**64 or
-  more, which only families with a large k reach; then it widens to a list
-  of ints and goes on growing, so those families stay exact. A Rowland
-  scan has no partner and reads no column;
+  twice in a process; the scan then reads a slice of the column. A range
+  that starts farther past the column's end than it is long would spend
+  most of its time walking up to it, so it takes the factor route per term
+  and leaves the column as it is (``_partner_residues`` is the one place
+  that chooses). The column is an ``array('Q')`` of 8 bytes a residue
+  until the first residue of 2**64 or more, which only families with a
+  large k reach; then it widens to a list of ints and goes on growing, so
+  those families stay exact. A Rowland scan has no partner and reads no
+  column;
 * factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
   the prime factorisation of x, as follows.
 
@@ -395,8 +395,7 @@ def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
 
     The partner residues come from the family's column, or from the factor
     route per term when the range starts far past the column's end (module
-    docstring); each record is built here from x and its residue, as
-    ``_record`` builds it. A Rowland scan has no partner and reads no column.
+    docstring). A Rowland scan has no partner and reads no column.
     """
     _check_range(family, n_from, n_to)
     if family.kind is Kind.ROWLAND:
@@ -405,10 +404,7 @@ def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
         return
     form = _form(family)
     for n, y_mod_x in zip(range(n_from, n_to + 1), _partner_residues(family, n_from, n_to)):
-        x = form(n)[0]
-        d = math.gcd(x, y_mod_x)
-        a = x // d
-        yield TermRecord(family, n, x, y_mod_x, d, a, _classify(a))
+        yield _record(family, n, form(n)[0], y_mod_x)
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
@@ -438,24 +434,17 @@ def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> Factorial
     column or by the factor route per n when n_from is far out. The
     factorial side is an independent route that reads neither: a
     ``Factorials`` walk over m = n-1 with modulus x(m+1), one ``%`` per
-    block of 64, when n_from - 3 <= n_to - n_from, and ``gcd_via_factorial``
-    per n from a farther start.
+    block of 64. A far start costs the walk one ``math.perm`` to reach it.
     """
     _check_range(MAIN, n_from, n_to)
     form = _form(MAIN)
-    if n_from - 3 <= n_to - n_from:
-        walk = _backend.Factorials(lambda m: form(m + 1)[0], n_from - 1)
-
-        def gcd_factorial(n, x):
-            return math.gcd(x, walk.at(n - 1, x))
-    else:
-        gcd_factorial = gcd_via_factorial
+    walk = _backend.Factorials(lambda m: form(m + 1)[0], n_from - 1)
     bad = []
     checked = 0
     for n, y_mod_x in zip(range(n_from, n_to + 1), _partner_residues(MAIN, n_from, n_to)):
         x = form(n)[0]
         d_partner = math.gcd(x, y_mod_x)
-        d_fact = gcd_factorial(n, x)
+        d_fact = math.gcd(x, walk.at(n - 1, x))
         checked += 1
         if d_partner != d_fact:
             bad.append((n, d_partner, d_fact))

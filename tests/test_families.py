@@ -525,15 +525,13 @@ def test_factorial_replacement_walks_its_partner_side(fresh_columns):
 
 def test_factorial_replacement_walks_its_factorial_side(fresh_columns):
     list(scan(MAIN, 3, 5010))  # the partner side reads main's column throughout
-    with mock.patch.object(_backend, "factorial_mod", wraps=_backend.factorial_mod) as spy:
-        assert verify_factorial_replacement(3, 5010).clean  # one walk over m = 2..5009
-        assert verify_factorial_replacement(103, 203).clean  # n_from - 3 = n_to - n_from
-        assert spy.call_count == 0
-        # a farther start: gcd_via_factorial per n
-        assert verify_factorial_replacement(104, 203).clean
-        assert verify_factorial_replacement(5000, 5010).clean
-    assert [c.args for c in spy.call_args_list] == [
-        (n - 1, n * n - n - 1) for n in (*range(104, 204), *range(5000, 5011))]
+    ranges = ((3, 5010), (103, 203), (104, 203), (5000, 5010), (4090, 4090))
+    with mock.patch.object(_backend, "factorial_mod", wraps=_backend.factorial_mod) as fact, \
+            mock.patch.object(_backend, "Factorials", wraps=_backend.Factorials) as walk:
+        for n_from, n_to in ranges:  # a far start too: one walk over m = n_from-1..n_to-1
+            assert verify_factorial_replacement(n_from, n_to).clean
+    assert fact.call_count == 0
+    assert [c.args[1] for c in walk.call_args_list] == [n_from - 1 for n_from, _ in ranges]
 
 
 # ---------------------------------------------------------------------------
