@@ -18,10 +18,13 @@ from one, over m = n-1.
 t -> 2x of its terms, and reads on from it whenever the column grows.
 ``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x from the walk.
 
-``factorial_mod(m, x)`` (single terms' factor route and ``gcd_via_factorial``)
-reduces the largest stored exact (64*j)!, j < 64, with one bigint ``%``, then
-multiplies in the remaining factors 64 at a time, one product and one ``%``
-per stride, since multiplying small factors together costs less than a ``%``.
+``factorial_mod(m, x)`` reduces the largest stored exact (64*j)!, j < 64,
+with one bigint ``%``, then multiplies in the remaining factors 64 at a time,
+one product and one ``%`` per stride, since multiplying small factors
+together costs less than a ``%``. Single terms (``families``) read t! mod 2x
+from it whole below ``_TABLE_LIMIT``, where that is one ``%`` and at most one
+stride, and through the prime powers of 2x (the factor route) above it;
+``gcd_via_factorial`` reads (n-1)! mod x.
 
 Everything here is plain Python integers, with no size limit on t, m or the
 modulus. The exact recurrences in ``recurrences`` are the reference it is
@@ -177,7 +180,8 @@ def factorial_mod(m, x):
     The stored (64*j)!, j = m // 64 clamped below 64, is reduced mod x, and
     the factors 64*j+1 .. m come in strides of 64, each one product
     ``math.perm(hi, hi - lo)`` = (lo+1)...hi (a product tree in C) and one
-    ``%``: below ``_TABLE_LIMIT``, one stride of at most 63 factors. Once
+    ``%``: below ``_TABLE_LIMIT``, one stride of at most 63 factors, which
+    is why single terms with t below it read t! mod 2x here directly. Once
     the residue is 0 no further stride runs.
     """
     j = min(m, _TABLE_LIMIT - 1) // _STRIDE

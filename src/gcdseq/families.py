@@ -45,23 +45,30 @@ residue. The routes are:
   it stopped, listing each block to its end once, so no term is walked
   twice in a process; the scan then reads a slice of the column. A range
   that starts farther past the column's end than it is long would spend
-  most of its time walking up to it, so it takes the factor route per term
-  and leaves the column as it is (``_partner_residues`` is the one place
+  most of its time walking up to it, so it takes the single-term route per
+  term and leaves the column as it is (``_partner_residues`` is the one place
   that chooses). The column is an ``array('Q')`` of 8 bytes a residue
   until the first residue of 2**64 or more, which only families with a
   large k reach; then it widens to a list of ints and goes on growing, so
   those families stay exact. A Rowland scan has no partner and reads no
   column;
-* factor (``term`` with ``Strategy.MODULAR_FAST``): t! mod 2x built from
-  the prime factorisation of x, as follows.
+* single term (``term`` with ``Strategy.MODULAR_FAST``): the identity with
+  F = t! mod 2x, read from the factorial table or, far out, built by the
+  factor route, as follows.
 
 For t < 2 the identity needs no factorial: !t = t and t! = 1, so
 2*partner = x*t + c*(t+2) exactly.
 
 For t >= 2 the left factorial !t = 0! + 1! + (2! + ... + (t-1)!) is
 2 plus a sum of even numbers, so x*!t = 0 (mod 2x) and the identity gives
-2*(partner mod x) = c*(t+2)*F mod 2x with F = t! mod 2x. F comes by the
-Chinese remainder theorem from t! mod p^e for each p^e exactly dividing 2x:
+2*(partner mod x) = c*(t+2)*F mod 2x with F = t! mod 2x.
+
+Below ``_backend._TABLE_LIMIT`` (t < 4096), F is
+``_backend.factorial_mod(t, 2x)``: one ``%`` of a stored exact (64*j)!,
+j < 64, and at most one product of up to 63 factors. At and above the
+limit that call runs 64 factors per ``%`` up to t, so there the factor
+route (``_factor_route``) builds F by the Chinese remainder theorem from
+t! mod p^e for each p^e exactly dividing 2x:
 
 * if Legendre's v_p(t!) = sum_i floor(t/p^i) is >= e, the residue is 0;
 * else if e = 1 (then p > t), Wilson's (p-1)! = -1 (mod p) and
@@ -69,12 +76,11 @@ Chinese remainder theorem from t! mod p^e for each p^e exactly dividing 2x:
   t! = (-1)^(k+1) / k! (mod p), so the cheaper of t and k factors is run;
 * else the residue is t! mod p^e, run forward.
 
-Both k! and t! come from ``_backend.factorial_mod``: a stored exact (64*j)!,
-j < 64, then 64 factors per ``%`` (below 4096, at most 63 factors in all).
+Both k! and t! come from ``_backend.factorial_mod``.
 
-This is exact while x < 2**64: ``primality.factor`` confirms each prime by
-Miller-Rabin over a base set that is deterministic below 2**64. For larger x
-the factor route takes F = ``factorial_mod(t, 2x)`` directly, without
+The factor route is exact while x < 2**64: ``primality.factor`` confirms
+each prime by Miller-Rabin over a base set that is deterministic below
+2**64. For larger x, F is ``factorial_mod(t, 2x)`` at every t, without
 factoring.
 
 The Rowland sequence is carried as a degenerate family whose "terms" are its
@@ -86,6 +92,7 @@ from __future__ import annotations
 import math
 from array import array
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from . import _backend
@@ -216,11 +223,12 @@ def quadratic_k(family: FamilySpec) -> int | None:
     return family.k if family.kind is Kind.QUADRATIC else None
 
 
+@lru_cache(maxsize=128)
 def _form(family: FamilySpec):
     """n -> (x, t, c, e): the numerator x and the partner form, c*b(t) + e*b(t-1).
 
     The function does not check n; a run over a checked range calls it per
-    term without ``_definition``'s checks.
+    term without ``_definition``'s checks. It is built once per family.
     """
     k = quadratic_k(family)
     if k is not None:
@@ -281,24 +289,32 @@ def _factorial_mod_prime_power(t: int, p: int, e: int) -> int:
 
 def _partner_residue(x: int, t: int, c: int, e: int) -> int:
     """The gcd partner c*b(t) + e*b(t-1) mod its numerator x, never
-    materialized, by the factor route: t! mod 2x from the prime
-    factorisation of x (module docstring).
+    materialized: t! mod 2x read from the factorial table below
+    ``_backend._TABLE_LIMIT`` or for x >= 2**64, else by ``_factor_route``
+    (module docstring).
     """
     if t < 2:  # !t = t and t! = 1
         return (x * t + c * (t + 2)) // 2 % x
+    if t >= _backend._TABLE_LIMIT and x < _U64:  # factor() is exact below 2**64
+        return _factor_route(x, t, c, e)
     m = 2 * x
-    if x >= _U64:  # factor() is exact below this
-        f = _backend.factorial_mod(t, m)
-    else:
-        powers = factor(x)
-        powers[2] = powers.get(2, 0) + 1
-        f = 0
-        for p, k in powers.items():
-            r = _factorial_mod_prime_power(t, p, k)
-            if r:
-                q = p**k
-                rest = m // q
-                f += r * rest * pow(rest, -1, q)
+    return c * (t + 2) * _backend.factorial_mod(t, m) % m // 2
+
+
+def _factor_route(x: int, t: int, c: int, e: int) -> int:
+    """``_partner_residue`` for t >= 2 and x < 2**64 by the factor route:
+    t! mod 2x by the CRT over the prime powers of 2x (module docstring).
+    """
+    m = 2 * x
+    powers = factor(x)
+    powers[2] = powers.get(2, 0) + 1
+    f = 0
+    for p, k in powers.items():
+        r = _factorial_mod_prime_power(t, p, k)
+        if r:
+            q = p**k
+            rest = m // q
+            f += r * rest * pow(rest, -1, q)
     return c * (t + 2) * f % m // 2
 
 
@@ -319,8 +335,9 @@ def _term(family: FamilySpec, n: int, strategy: Strategy) -> TermRecord:
 def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST) -> TermRecord:
     """Compute one term; both strategies produce identical records.
 
-    ``MODULAR_FAST`` takes the factor route, so a single term far out costs
-    a factorisation of x, not an O(n) chain or a walk up from t = 0.
+    ``MODULAR_FAST`` reads t! mod 2x from the factorial table below t = 4096
+    and takes the factor route above it, so a single term far out costs a
+    factorisation of x, not an O(n) chain or a walk up from t = 0.
     """
     return _term(family, n, strategy)
 
@@ -379,7 +396,7 @@ def _partner_residues(family: FamilySpec, n_from: int, n_to: int):
     """y mod x for n_from..n_to, ascending: the one place a scan's route is chosen.
 
     A range that starts farther past the column's end than it is long takes
-    the factor route per term, lazily, and leaves the column as it is. Any
+    the single-term route per term, lazily, and leaves the column as it is. Any
     other range extends the column to n_to and reads a slice of it.
     """
     column = _column(family)
@@ -393,8 +410,8 @@ def _partner_residues(family: FamilySpec, n_from: int, n_to: int):
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
     """Yield records for n_from..n_to inclusive, in ascending n.
 
-    The partner residues come from the family's column, or from the factor
-    route per term when the range starts far past the column's end (module
+    The partner residues come from the family's column, or from the
+    single-term route per term when the range starts far past the column's end (module
     docstring). A Rowland scan has no partner and reads no column.
     """
     _check_range(family, n_from, n_to)
@@ -431,7 +448,7 @@ def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> Factorial
     """gcd(x, partner) against gcd(x, (n-1)!) for every n in the range.
 
     The partner side reads main's residues as ``scan`` does, from the
-    column or by the factor route per n when n_from is far out. The
+    column or by the single-term route per n when n_from is far out. The
     factorial side is an independent route that reads neither: a
     ``Factorials`` walk over m = n-1 with modulus x(m+1), one ``%`` per
     block of 64. A far start costs the walk one ``math.perm`` to reach it.
@@ -465,8 +482,9 @@ class StrategyEquivalenceReport(NamedTuple):
 def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
     """Recompute every term's partner residue by each route and compare them.
 
-    Per term, the exact residue ``gcd_partner % x`` and the factor route's
-    ``_partner_residue`` are compared with the residue a scan reads from
+    Per term, the exact residue ``gcd_partner % x`` and the single-term
+    route's ``_partner_residue`` (the table below t = 4096, the factor route
+    above) are compared with the residue a scan reads from
     the family's column. This is the record-for-record check: on every
     route x comes from ``_form``, and d, a and the class are functions of
     (x, y_mod_x) through ``_record``, so two records are equal exactly

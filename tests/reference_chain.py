@@ -1,8 +1,9 @@
 """An independent reference for the partner residue, shared by the tests.
 
 The paper's second-order recurrence b(j) = (j+2)(b(j-1) - b(j-2)) run mod x
-shares no code with the walk or the factor route, so it can check either
-far beyond the indices where exact b is affordable.
+shares no code with the walk, the factorial table or the factor route, so
+it can check each of them far beyond the indices where exact b is
+affordable.
 """
 
 

@@ -106,7 +106,7 @@ def test_gcd_partner_exact_values():
     [(MAIN, 8, 55, 35), (MAIN, 3, 5, 1), (linear(1), 5, 9, 6)],
 )
 def test_gcd_partner_residue_examples(family, n, x, expected):
-    # the factor route (term) and the walk (scan from the first index)
+    # the table route (term) and the walk (scan from the first index)
     assert numerator(family, n) == x
     assert term(family, n).y_mod_x == expected
     assert list(scan(family, 3, n))[-1].y_mod_x == expected
@@ -309,7 +309,8 @@ def test_strategies_identical_random(family_text, n):
 
 
 # ---------------------------------------------------------------------------
-# factor route: term() against the chain and the exact route
+# single terms: the table route below t = 4096, the factor route above,
+# against the chain and the exact route
 # ---------------------------------------------------------------------------
 
 ROUTE_FAMILIES = (["main"] + [f"quad:{k}" for k in range(1, 7)]
@@ -334,8 +335,30 @@ def test_factor_route_matches_chain_and_exact(family_text, n, n_exact):
     assert term(family, n_exact) == term(family, n_exact, Strategy.EXACT_BIGINT)
 
 
-def factorial_calls(family, n):
-    """The record of term(family, n) and the (m, modulus) of each factorial_mod call."""
+def factor_route_term(family, n):
+    """The record of term n with the partner from the factor route, at any t >= 2."""
+    x, t, c, e = families._definition(family, n)
+    return families._record(family, n, x, families._factor_route(x, t, c, e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ROUTE_FAMILIES), st.integers(min_value=5, max_value=1999),
+       st.integers(min_value=4090, max_value=4100))
+def test_factor_route_helper_matches_exact_and_chain(family_text, n_exact, t):
+    # term() factors only at t >= 4096, so the factor route is compared here on
+    # its own: with the exact route at t >= 2 (n >= 5), and with the chain
+    # across the limit
+    family = FamilySpec.parse(family_text)
+    assert factor_route_term(family, n_exact) == term(family, n_exact, Strategy.EXACT_BIGINT)
+    n = t + family.first_index - families._definition(family, family.first_index)[1]
+    assert factor_route_term(family, n) == chain_term(family, n) == term(family, n)
+    # x >= 2**64 below the limit: term() reads the table without factoring
+    big = quadratic(2**70 + 5)
+    assert term(big, n_exact) == chain_term(big, n_exact)
+
+
+def factorial_calls(family, n, route=term):
+    """The record of route(family, n) and the (m, modulus) of each factorial_mod call."""
     calls = []
     real = _backend.factorial_mod
 
@@ -344,8 +367,24 @@ def factorial_calls(family, n):
         return real(m, x)
 
     with mock.patch.object(_backend, "factorial_mod", spy):
-        rec = term(family, n)
+        rec = route(family, n)
     return rec, calls
+
+
+@pytest.mark.parametrize("text", ROUTE_FAMILIES)
+def test_term_reads_the_table_below_its_limit(text):
+    # 2 <= t < 4096: one factorial_mod(t, 2x) and no factoring
+    def refuse(*args):
+        raise AssertionError("factored x below the table's limit")
+
+    family = FamilySpec.parse(text)
+    shift = family.first_index - families._definition(family, family.first_index)[1]
+    for t in (2, 63, 64, 1000, _backend._TABLE_LIMIT - 1):
+        x = numerator(family, t + shift)
+        with mock.patch.object(families, "factor", refuse):
+            rec, calls = factorial_calls(family, t + shift)
+        assert calls == [(t, 2 * x)]
+        assert rec == chain_term(family, t + shift)
 
 
 def test_factor_route_skips_t_below_two():
@@ -377,7 +416,7 @@ def test_factor_route_wilson_branch():
 def test_factor_route_forward_branch():
     # p > t and k = p - 1 - t >= t: t! mod p is run forward
     for n, p in ((5, 19), (991, 23929)):  # x = 19 and x = 41 * 23929
-        rec, calls = factorial_calls(MAIN, n)
+        rec, calls = factorial_calls(MAIN, n, factor_route_term)
         assert max(factor(rec.x)) == p
         assert calls == [(n - 3, p)]
         assert rec == chain_term(MAIN, n) == term(MAIN, n, Strategy.EXACT_BIGINT)
@@ -393,7 +432,7 @@ def test_factor_route_prime_power_branch():
             wanted = [(t, p**e) for p, e in factor(2 * x).items()
                       if e >= 2 and legendre(t, p) < e]
             if t >= 2 and wanted:
-                rec, calls = factorial_calls(family, n)
+                rec, calls = factorial_calls(family, n, factor_route_term)
                 assert set(wanted) <= set(calls), (text, n)
                 assert rec == chain_term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
                 found.append((text, n))
@@ -417,21 +456,21 @@ def test_factor_route_above_two_to_the_64_takes_one_factorial():
     x = numerator(family, 4)
     assert x < 2**64
     with mock.patch.object(families, "factor", wraps=factor) as spy:
-        assert term(family, 4) == term(family, 4, Strategy.EXACT_BIGINT)
+        assert factor_route_term(family, 4) == term(family, 4, Strategy.EXACT_BIGINT)
     spy.assert_called_once_with(x)
 
 
 @pytest.mark.parametrize("text", ["main", *(f"quad:{k}" for k in range(1, 6)),
                                   *(f"linear:{k}" for k in range(1, 6))])
 def test_scan_and_term_agree(text):
-    # scan walks t! and !t, term takes the factor route
+    # scan walks t! and !t, term reads t! from the factorial table (t < 4096)
     family = FamilySpec.parse(text)
     assert list(scan(family, family.first_index, 600)) == [
         term(family, n) for n in range(family.first_index, 601)]
 
 
 # ---------------------------------------------------------------------------
-# scan: the left-factorial walk, or the factor route when it starts far out
+# scan: the left-factorial walk, or term()'s route when it starts far out
 # ---------------------------------------------------------------------------
 
 SCAN_FAMILIES = ["main", "quad:2", "quad:3", "quad:4", "linear:1", "linear:2",
@@ -443,9 +482,9 @@ SCAN_FAMILIES = ["main", "quad:2", "quad:3", "quad:4", "linear:1", "linear:2",
        st.integers(min_value=0, max_value=300))
 @example("main", 0, 40)       # walks from the first index
 @example("linear:2", 0, 0)    # a single term at the first index walks
-@example("main", 1200, 5)     # far start: the factor route
+@example("main", 1200, 5)     # far start: term()'s route
 @example("quad:2", 100, 100)  # n_from - first_index = n_to - n_from: walks
-@example("quad:2", 100, 99)   # one more below n_from than n_to - n_from: factors
+@example("quad:2", 100, 99)   # one more below n_from than n_to - n_from: per term
 def test_scan_matches_exact_records(family_text, offset, width):
     # exact b is cached up to its index, so the ranges stay below 2000
     family = FamilySpec.parse(family_text)
@@ -625,7 +664,7 @@ def test_far_start_is_measured_from_the_columns_end(fresh_columns):
     assert column.high_water == 203
     with (mock.patch.object(_backend, "LeftFactorials", refuse),
           mock.patch.object(_backend, "b_mod_pair", refuse)):
-        # 305 - 204 > 404 - 305: the factor route, and the column stays as it is
+        # 305 - 204 > 404 - 305: term()'s route, and the column stays as it is
         assert list(scan(MAIN, 305, 404)) == [term(MAIN, n) for n in range(305, 405)]
     assert column.high_water == 203
     with (mock.patch.object(_backend, "LeftFactorials", refuse),
