@@ -2,8 +2,9 @@
 sequences, their generalized families, and the finite continued-fraction
 identities they satisfy.
 
-Scans walk t! and !t a block of 64 terms at a time, and single terms build
-t! mod 2x from the factors of x. Everything runs in pure Python;
+Every partner residue comes from t! mod 2x: scans walk t! a block of 64
+terms at a time, and single terms read it from a factorial table, or far
+out build it from the factors of x. Everything runs in pure Python;
 ``backend_name()`` says so, for the stamps of benchmark results.
 
 Start-up: ``import gcdseq`` loads no submodule. Each name in ``__all__``

@@ -1,4 +1,5 @@
-"""Residue kernels: the blocked factorial walks and the factorial table.
+"""Residue kernels: the blocked factorial walk, the partner identity and the
+factorial table.
 
 A walk hands out residues for ascending t, each mod its own modulus
 ``modulus(t)``. ``Factorials`` lists t! mod modulus(t); it holds the exact
@@ -9,14 +10,15 @@ its end, so each block is listed once; since every modulus divides M, the
 residues it hands out are exact. This is one level of the accumulating
 remainder tree of Costa-Gerbicz-Harvey (*A search for Wilson primes*, Math.
 Comp. 83, 2014): one bigint ``%`` per block of 64 terms instead of one per
-term. ``verify_factorial_replacement`` (``families``) reads (n-1)! mod x
-from one, over m = n-1.
+term.
 
-``LeftFactorials`` is the same block engine with the exact left factorial
-!t kept beside t!, listing the pair (t! mod 2x, !t mod 2x). A residue column
-(``families``) asks for consecutive t, so it keeps one, built with the map
-t -> 2x of its terms, and reads on from it whenever the column grows.
-``b_mod_pair(t, x, walk)`` reads t! and !t mod 2x from the walk.
+``Factorials`` is the one walk class, and it has two users. A residue
+column (``families``) asks for consecutive t, so it keeps one walk, built
+with the map t -> 2x of its terms, and reads on from it whenever the column
+grows; ``b_mod_pair(t, x, walk, c)`` turns t! mod 2x into the term's
+partner residue mod x through ``partner_from_factorial``, which is also
+where the single-term route ends. ``verify_factorial_replacement``
+(``families``) reads (n-1)! mod x from a second walk, over m = n-1.
 
 ``factorial_mod(m, x)`` reduces the largest stored exact (64*j)!, j < 64,
 with one bigint ``%``, then multiplies in the remaining factors 64 at a time,
@@ -42,19 +44,6 @@ def backend_name():
     return "pure-python"
 
 
-def _block_step(j):
-    """(P, Q) with (64j+64)! = (64j)! * P and !(64j+64) = !(64j) + (64j)! * Q.
-
-    P is the product of 64j+1 .. 64j+64, and Q = sum over i < 64 of
-    (64j+1)...(64j+i), built by Horner's rule from the inside out.
-    """
-    lo = _STRIDE * j
-    q = 1
-    for k in range(lo + _STRIDE - 1, lo, -1):
-        q = q * k + 1
-    return math.prod(range(lo + 1, lo + _STRIDE + 1)), q
-
-
 class Factorials:
     """An ascending walk over t! mod ``modulus(t)``, for t >= ``t_from``.
 
@@ -75,8 +64,7 @@ class Factorials:
         self._block, self._lo, self._moduli, self._listed = -1, 0, (), ()
 
     def at(self, t, m):
-        """Return what the walk lists for t mod m (t! mod m, or the pair of
-        ``LeftFactorials``), where m must be ``modulus(t)``."""
+        """Return t! mod m, where m must be ``modulus(t)``."""
         if t < self.t:
             raise ValueError(f"walk is at t={self.t}, cannot step back to t={t}")
         self.t = t
@@ -88,82 +76,48 @@ class Factorials:
         return self._listed[i]
 
     def _fill(self, lo):
-        """Advance the exact state to the start of lo's block and list the
-        residues of the block's t from lo to its end."""
+        """Advance the exact t! to the start of lo's block, (64j)!/(64*_start)!
+        in one product, and list the residues of the block's t from lo to its
+        end, stepped mod the product of their moduli."""
         j = lo // _STRIDE
-        self._advance(j)
-        ts = range(lo, _STRIDE * (j + 1))
-        moduli = [self._modulus(t) for t in ts]
-        listed = self._list(ts, moduli, math.prod(moduli))
-        self._block, self._lo, self._moduli, self._listed = j, lo, moduli, listed
-
-    def _advance(self, j):
-        """The exact t! from t = 64*_start to t = 64j: (64j)!/(64*_start)! in one product."""
         self._fact *= math.perm(_STRIDE * j, _STRIDE * (j - self._start))
         self._start = j
-
-    def _list(self, ts, moduli, big):
-        """t! mod m for t in ``ts`` and m in ``moduli``, stepped mod ``big``."""
+        ts = range(lo, _STRIDE * (j + 1))
+        moduli = [self._modulus(t) for t in ts]
+        big = math.prod(moduli)
         f = self._fact % big
-        for t in range(_STRIDE * self._start, ts.start):
+        for t in range(_STRIDE * j, lo):
             f = f * (t + 1) % big
         listed = []
         for t, m in zip(ts, moduli):
             listed.append(f % m)
             f = f * (t + 1) % big
-        return listed
+        self._block, self._lo, self._moduli, self._listed = j, lo, moduli, listed
 
 
-class LeftFactorials(Factorials):
-    """An ascending walk over (t! mod 2x, !t mod 2x) for the terms of a scan.
+def partner_from_factorial(t, x, c, f):
+    """The partner residue (c*b(t) + e*b(t-1)) mod x of the form
+    x = c(t+2) + e(t+1), for t >= 0 and x >= 1, from f = t! mod 2x.
 
-    ``modulus(t)`` is the modulus 2x of the term with this t, for every
-    t >= ``t_from``; !t = 0! + 1! + ... + (t-1)! is the left factorial, so
-    !0 = 0 and !(t+1) = !t + t!. The walk is ``Factorials``' with the exact
-    !t kept beside t! at t = 64j (one product and one sum per block passed)
-    and S += F stepped beside F, so ``at`` returns the pair
-    ``(t! mod m, !t mod m)``.
-    """
-
-    def __init__(self, modulus, t_from):
-        super().__init__(modulus, t_from)
-        self._left = 0  # the exact !t at t = 64*_start
-
-    def _advance(self, j):
-        f, s = self._fact, self._left
-        for k in range(self._start, j):
-            p, q = _block_step(k)
-            f, s = f * p, s + f * q
-        self._start, self._fact, self._left = j, f, s
-
-    def _list(self, ts, moduli, big):
-        f, s = self._fact % big, self._left % big
-        for t in range(_STRIDE * self._start, ts.start):
-            s += f
-            f = f * (t + 1) % big
-        pairs = []
-        for t, m in zip(ts, moduli):
-            pairs.append((f % m, s % m))
-            s += f
-            f = f * (t + 1) % big
-        return pairs
-
-
-def b_mod_pair(t, x, walk):
-    """Return ``(b(t-1) mod x, b(t) mod x)`` for t >= 0, x >= 1, read from ``walk``.
-
-    Uses the left-factorial identity b(n) = (n+2) * !(n+1) / 2, where
-    !n = 0! + 1! + ... + (n-1)! (see ``recurrences.b_via_left_factorial``):
-    b(t-1) = (t+1) * !t / 2 and b(t) = (t+2) * !(t+1) / 2 with
-    !(t+1) = !t + t!. The ``LeftFactorials`` walk, which must have been
-    built with 2x as the modulus of t, gives s = !t and f = t! mod m = 2x.
-    Since (t+1) * !t = 2 * b(t-1) exactly, (t+1) * s mod 2x = 2 * (b(t-1)
-    mod x), and halving it is exact; the same holds for (t+2) * (s + f).
-    That covers every x >= 1, even x included, and t = 0 (s = 0, f = 1).
+    2*partner = x*!t + c*(t+2)*t! (proved in ``families``), and x*!t is
+    x*[t = 1] mod 2x, since !0 = 0, !1 = 1 and !t is even for t >= 2. So
+    (x*[t = 1] + c*(t+2)*f) mod 2x is 2*(partner mod x), and halving it is
+    exact; e drops out. Every modular route to a partner residue ends here.
     """
     m = 2 * x
-    f, s = walk.at(t, m)
-    return (t + 1) * s % m // 2, (t + 2) * (s + f) % m // 2
+    return (x * (t == 1) + c * (t + 2) * f) % m // 2
+
+
+def b_mod_pair(t, x, walk, c):
+    """The partner residue (c*b(t) + e*b(t-1)) mod x of the form
+    x = c(t+2) + e(t+1), for t >= 0 and x >= 1, with t! mod 2x read from
+    ``walk``, a ``Factorials`` walk built with 2x as the modulus of t.
+
+    The name is kept only as the hook that the benchmark's tracer wraps (it
+    counts one call per column term and records t), until ROADMAP item 1
+    counts work inside ``src/``.
+    """
+    return partner_from_factorial(t, x, c, walk.at(t, 2 * x))
 
 
 @lru_cache(maxsize=None)

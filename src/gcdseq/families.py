@@ -23,9 +23,11 @@ For main (c = 1, t = n-3) this proves the factorial-replacement law that
 gcd(x, partner) = gcd(x, 2*partner) = gcd(x, (n-1)*(n-3)!), and
 x = (n-2)(n+1) + 1 is prime to n-2, so this is gcd(x, (n-1)!) for every
 n >= 3 (by hand: gcd(5, 1) = gcd(5, 2!) and gcd(11, 7) = gcd(11, 3!)).
-Its (n-1)! side reads a ``_backend.Factorials`` walk over m = n-1 with the
-modulus x(m+1), from any start, and never the partner's column, so the two
-sides stay independent computations.
+Its partner side reads y mod x as ``scan`` does, which is (n-3)! mod 2x
+through the identity above. Its (n-1)! side reads (n-1)! mod x from a
+second ``_backend.Factorials`` walk, over m = n-1 with the modulus x(m+1),
+from any start, and never from the column. ``fastpath`` and the tests tie
+the column to the exact route and to the paper's second-order chain.
 
 The partner reaches a record by one of three routes. They must agree
 residue for residue, which is record for record: every route takes x from
@@ -35,12 +37,12 @@ residue. The routes are:
 * exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
 * column (``scan``): the partner residues of a partner form are kept once
   per process, in an append-only column of y mod x per n (``main`` and
-  ``quad:1`` share one), and a scan reads them. One
-  ``_backend.LeftFactorials`` walk, built with the map t -> 2x, fills the
-  column. It holds the exact t! and !t at every 64th t and reduces them
-  once per block of 64 terms, mod the product of the block's moduli 2x, so
-  each term reads t! and !t mod 2x, where 2*b(t-1) = (t+1)*!t and
-  2*b(t) = (t+2)*(!t + t!). A scan past the column's end grows it, in one
+  ``quad:1`` share one), and a scan reads them. One ``_backend.Factorials``
+  walk, built with the map t -> 2x, fills the column. It holds the exact t!
+  at every 64th t and reduces it once per block of 64 terms, mod the
+  product of the block's moduli 2x, so each term reads t! mod 2x, and
+  ``_backend.b_mod_pair`` turns that into y mod x by the identity below, as
+  the single-term route does. A scan past the column's end grows it, in one
   loop with one ``b_mod_pair`` per term, and the walk reads on from where
   it stopped, listing each block to its end once, so no term is walked
   twice in a process; the scan then reads a slice of the column. A range
@@ -62,6 +64,10 @@ For t < 2 the identity needs no factorial: !t = t and t! = 1, so
 For t >= 2 the left factorial !t = 0! + 1! + (2! + ... + (t-1)!) is
 2 plus a sum of even numbers, so x*!t = 0 (mod 2x) and the identity gives
 2*(partner mod x) = c*(t+2)*F mod 2x with F = t! mod 2x.
+
+Both cases are 2*(partner mod x) = (x*[t = 1] + c*(t+2)*F) mod 2x, which
+``_backend.partner_from_factorial`` halves for the column and the single
+term alike; only F differs in where it comes from.
 
 Below ``_backend._TABLE_LIMIT`` (t < 4096), F is
 ``_backend.factorial_mod(t, 2x)``: one ``%`` of a stored exact (64*j)!,
@@ -290,15 +296,13 @@ def _factorial_mod_prime_power(t: int, p: int, e: int) -> int:
 def _partner_residue(x: int, t: int, c: int, e: int) -> int:
     """The gcd partner c*b(t) + e*b(t-1) mod its numerator x, never
     materialized: t! mod 2x read from the factorial table below
-    ``_backend._TABLE_LIMIT`` or for x >= 2**64, else by ``_factor_route``
-    (module docstring).
+    ``_backend._TABLE_LIMIT`` or for x >= 2**64, else by ``_factor_route``,
+    and halved by ``_backend.partner_from_factorial`` (module docstring).
     """
-    if t < 2:  # !t = t and t! = 1
-        return (x * t + c * (t + 2)) // 2 % x
     if t >= _backend._TABLE_LIMIT and x < _U64:  # factor() is exact below 2**64
         return _factor_route(x, t, c, e)
-    m = 2 * x
-    return c * (t + 2) * _backend.factorial_mod(t, m) % m // 2
+    f = _backend.factorial_mod(t, 2 * x) if t >= 2 else 1  # 0! = 1! = 1
+    return _backend.partner_from_factorial(t, x, c, f)
 
 
 def _factor_route(x: int, t: int, c: int, e: int) -> int:
@@ -315,7 +319,7 @@ def _factor_route(x: int, t: int, c: int, e: int) -> int:
             q = p**k
             rest = m // q
             f += r * rest * pow(rest, -1, q)
-    return c * (t + 2) * f % m // 2
+    return _backend.partner_from_factorial(t, x, c, f)
 
 
 def _term(family: FamilySpec, n: int, strategy: Strategy) -> TermRecord:
@@ -346,11 +350,12 @@ class _ResidueColumn(_RecurrenceCache):
     """The partner residues y mod x of one partner form, n = 3, 4, ...
 
     It grows under the ``_RecurrenceCache`` lock, in one loop that reads
-    b(t-1) and b(t) mod x of each term from a single ``LeftFactorials``
-    walk, built on the first growth, so every growth reads on where the
-    column ends and no term is walked twice. The residues are an
-    ``array('Q')`` until the first of 2**64 or more, which widens them to a
-    list, and the column goes on growing.
+    t! mod 2x of each term from a single ``Factorials`` walk, built on the
+    first growth with the map t -> 2x, and turns it into y mod x with
+    ``b_mod_pair``. Every growth reads on where the column ends, so no term
+    is walked twice. The residues are an ``array('Q')`` until the first of
+    2**64 or more, which widens them to a list, and the column goes on
+    growing.
     """
 
     def __init__(self, family: FamilySpec):
@@ -362,13 +367,12 @@ class _ResidueColumn(_RecurrenceCache):
         form, first, terms = self._form, self._first, self._terms
         if self._walk is None:
             shift = first - form(first)[1]  # n - t, the same for every n
-            self._walk = _backend.LeftFactorials(
+            self._walk = _backend.Factorials(
                 lambda t: 2 * form(t + shift)[0], first - shift)
         walk = self._walk
         for n in range(first + len(terms), first + pos + 1):
-            x, t, c, e = form(n)
-            b_prev, b_cur = _backend.b_mod_pair(t, x, walk)  # b(t-1), b(t)
-            y = (c * b_cur + e * b_prev) % x
+            x, t, c, _ = form(n)
+            y = _backend.b_mod_pair(t, x, walk, c)
             try:
                 terms.append(y)
             except OverflowError:  # a residue of 2**64 or more: widen
@@ -395,9 +399,12 @@ def _column(family: FamilySpec) -> _ResidueColumn:
 def _partner_residues(family: FamilySpec, n_from: int, n_to: int):
     """y mod x for n_from..n_to, ascending: the one place a scan's route is chosen.
 
-    A range that starts farther past the column's end than it is long takes
-    the single-term route per term, lazily, and leaves the column as it is. Any
-    other range extends the column to n_to and reads a slice of it.
+    Both routes compute y mod x from t! mod 2x through the partner identity
+    (module docstring). A range that starts farther past the column's end
+    than it is long takes the single-term route per term, lazily (t! mod 2x
+    from the factorial table or the factor route), and leaves the column as
+    it is. Any other range extends the column to n_to, walking t! mod 2x
+    with ``Factorials``, and reads a slice of it.
     """
     column = _column(family)
     if n_from - column.high_water - 1 > n_to - n_from:
@@ -448,10 +455,13 @@ def verify_factorial_replacement(n_from: int = 3, n_to: int = 2000) -> Factorial
     """gcd(x, partner) against gcd(x, (n-1)!) for every n in the range.
 
     The partner side reads main's residues as ``scan`` does, from the
-    column or by the single-term route per n when n_from is far out. The
-    factorial side is an independent route that reads neither: a
-    ``Factorials`` walk over m = n-1 with modulus x(m+1), one ``%`` per
-    block of 64. A far start costs the walk one ``math.perm`` to reach it.
+    column or by the single-term route per n when n_from is far out: either
+    way (n-3)! mod 2x through the partner identity. The factorial side reads
+    (n-1)! mod x from a second walk, a ``Factorials`` walk over m = n-1 with
+    modulus x(m+1), one ``%`` per block of 64, which the partner side never
+    reads. A far start costs that walk one ``math.perm`` to reach it. Both
+    sides rest on factorials; ``fastpath`` and the tests tie the column to
+    the exact route and to the paper's second-order chain.
     """
     _check_range(MAIN, n_from, n_to)
     form = _form(MAIN)

@@ -397,7 +397,7 @@ def test_factor_route_skips_t_below_two():
     exact = [term(family, n, Strategy.EXACT_BIGINT) for family, n in cases]
     with (mock.patch.object(families, "factor", refuse),
           mock.patch.object(families, "gcd_partner", refuse),
-          mock.patch.object(_backend, "LeftFactorials", refuse)):
+          mock.patch.object(_backend, "Factorials", refuse)):
         fast = [term(family, n) for family, n in cases]
     assert fast == exact == [chain_term(family, n) for family, n in cases]
 
@@ -463,14 +463,14 @@ def test_factor_route_above_two_to_the_64_takes_one_factorial():
 @pytest.mark.parametrize("text", ["main", *(f"quad:{k}" for k in range(1, 6)),
                                   *(f"linear:{k}" for k in range(1, 6))])
 def test_scan_and_term_agree(text):
-    # scan walks t! and !t, term reads t! from the factorial table (t < 4096)
+    # scan walks t!, term reads t! from the factorial table (t < 4096)
     family = FamilySpec.parse(text)
     assert list(scan(family, family.first_index, 600)) == [
         term(family, n) for n in range(family.first_index, 601)]
 
 
 # ---------------------------------------------------------------------------
-# scan: the left-factorial walk, or term()'s route when it starts far out
+# scan: the column's factorial walk, or term()'s route when it starts far out
 # ---------------------------------------------------------------------------
 
 SCAN_FAMILIES = ["main", "quad:2", "quad:3", "quad:4", "linear:1", "linear:2",
@@ -499,7 +499,7 @@ def test_scan_walks_near_the_start_and_factors_far_out(fresh_columns):
         raise AssertionError("took the other route")
 
     # main's column is empty, so it ends at n = 2
-    with mock.patch.object(_backend, "LeftFactorials", refuse):
+    with mock.patch.object(_backend, "Factorials", refuse):
         assert len(list(scan(MAIN, 104, 203))) == 100  # n_from - 3 > n_to - n_from
     with mock.patch.object(families, "factor", refuse):
         assert len(list(scan(MAIN, 103, 203))) == 101  # n_from - 3 = n_to - n_from
@@ -511,9 +511,9 @@ def test_scan_walks_near_the_start_and_factors_far_out(fresh_columns):
 def test_strategy_equivalence_lists_a_scan_mismatch(fresh_columns):
     real = _backend.b_mod_pair
 
-    def one_wrong(t, x, walk):  # only the walk route reads b_mod_pair
-        b_prev, b_cur = real(t, x, walk)
-        return (b_prev, b_cur + 1) if t == 4 else (b_prev, b_cur)  # main n = 7, c = 1
+    def one_wrong(t, x, walk, c):  # only the walk route reads b_mod_pair
+        y = real(t, x, walk, c)
+        return (y + 1) % x if t == 4 else y  # main n = 7
 
     with mock.patch.object(_backend, "b_mod_pair", one_wrong):
         report = verify_strategy_equivalence([MAIN], 12)
@@ -521,7 +521,7 @@ def test_strategy_equivalence_lists_a_scan_mismatch(fresh_columns):
     [bad] = report.mismatches
     assert (bad["n"], bad["exact"], bad["modular"]) == (7, term(MAIN, 7).as_dict(),
                                                         term(MAIN, 7).as_dict())
-    assert bad["scan"]["y_mod_x"] == bad["exact"]["y_mod_x"] + 1
+    assert bad["scan"]["y_mod_x"] == (bad["exact"]["y_mod_x"] + 1) % bad["exact"]["x"]
 
 
 def test_strategy_equivalence_lists_a_factor_route_mismatch():
@@ -553,13 +553,18 @@ def test_strategy_equivalence_refuses_rowland():
 
 
 def test_factorial_replacement_walks_its_partner_side(fresh_columns):
-    with mock.patch.object(_backend, "LeftFactorials", wraps=_backend.LeftFactorials) as spy:
+    with mock.patch.object(_backend, "Factorials", wraps=_backend.Factorials) as spy:
         assert verify_factorial_replacement(3, 200).clean  # fills main's column
         assert verify_factorial_replacement(150, 160).clean  # reads it
         # far past the column's end: the factor route per n, no walk
         assert verify_factorial_replacement(5000, 5010).clean
         assert verify_factorial_replacement(4090, 4110).clean  # across the table's end
-    assert spy.call_count == 1
+    # one walk of t! mod 2x(t+3) for the column; the other four are the
+    # factorial side's, one per call, each of m! mod x(m+1)
+    column_walks = [c for c in spy.call_args_list
+                    if all(c.args[0](t) == 2 * numerator(MAIN, t + 3) for t in range(5))]
+    assert [c.args[1] for c in column_walks] == [0]
+    assert spy.call_count == 5
 
 
 def test_factorial_replacement_walks_its_factorial_side(fresh_columns):
@@ -584,16 +589,15 @@ COLUMN_FAMILIES = ["main", *(f"quad:{k}" for k in range(2, 6)),
 
 def walked_records(family, n_to):
     """The records of first_index..n_to from one fresh walk over them all,
-    built here from ``LeftFactorials`` and ``b_mod_pair``, not by a column."""
+    built here from ``Factorials`` and ``b_mod_pair``, not by a column."""
     first = family.first_index
     shift = first - families._definition(family, first)[1]  # n - t
-    walk = _backend.LeftFactorials(
+    walk = _backend.Factorials(
         lambda t: 2 * families._definition(family, t + shift)[0], first - shift)
     records = []
     for n in range(first, n_to + 1):
-        x, t, c, e = families._definition(family, n)
-        b_prev, b_cur = _backend.b_mod_pair(t, x, walk)
-        records.append(families._record(family, n, x, (c * b_cur + e * b_prev) % x))
+        x, t, c, _ = families._definition(family, n)
+        records.append(families._record(family, n, x, _backend.b_mod_pair(t, x, walk, c)))
     return records
 
 
@@ -609,7 +613,7 @@ def walked_records(family, n_to):
 def test_column_extensions_match_a_fresh_walk_and_term(family_text, ranges):
     family = FamilySpec.parse(family_text)
     with (mock.patch.dict(families._COLUMNS, clear=True),
-          mock.patch.object(_backend, "LeftFactorials", wraps=_backend.LeftFactorials) as walks):
+          mock.patch.object(_backend, "Factorials", wraps=_backend.Factorials) as walks):
         scanned = [list(scan(family, family.first_index + offset,
                              family.first_index + offset + width)) for offset, width in ranges]
         column = families._column(family)
@@ -633,14 +637,14 @@ def test_column_lists_each_block_once(ends):
     # block it passes exactly once, however the ends cut the blocks
     expected = walked_records(MAIN, max(ends))
     blocks = []
-    real = _backend.LeftFactorials._fill
+    real = _backend.Factorials._fill
 
     def spy(walk, lo):
         blocks.append(lo // 64)
         real(walk, lo)
 
     with (mock.patch.dict(families._COLUMNS, clear=True),
-          mock.patch.object(_backend.LeftFactorials, "_fill", spy)):
+          mock.patch.object(_backend.Factorials, "_fill", spy)):
         for n_to in ends:
             assert list(scan(MAIN, 3, n_to)) == expected[:n_to - 2]
     assert blocks == list(range((max(ends) - 3) // 64 + 1))
@@ -662,12 +666,12 @@ def test_far_start_is_measured_from_the_columns_end(fresh_columns):
     column = families._column(MAIN)
     assert len(list(scan(MAIN, 3, 203))) == 201
     assert column.high_water == 203
-    with (mock.patch.object(_backend, "LeftFactorials", refuse),
+    with (mock.patch.object(_backend, "Factorials", refuse),
           mock.patch.object(_backend, "b_mod_pair", refuse)):
         # 305 - 204 > 404 - 305: term()'s route, and the column stays as it is
         assert list(scan(MAIN, 305, 404)) == [term(MAIN, n) for n in range(305, 405)]
     assert column.high_water == 203
-    with (mock.patch.object(_backend, "LeftFactorials", refuse),
+    with (mock.patch.object(_backend, "Factorials", refuse),
           mock.patch.object(families, "factor", refuse)):
         # 304 - 204 = 404 - 304: the walk goes on from n = 204, never from t = 0
         assert len(list(scan(MAIN, 304, 404))) == 101
@@ -688,7 +692,7 @@ def test_column_widens_past_two_to_the_64(fresh_columns, k, end):
     column = families._column(family)
     assert column.high_water == 200
     assert max(column.residues(3, end), default=0) < 2**64 <= column.residues(end + 1, end + 1)[0]
-    with (mock.patch.object(_backend, "LeftFactorials", refuse),
+    with (mock.patch.object(_backend, "Factorials", refuse),
           mock.patch.object(_backend, "b_mod_pair", refuse)):
         assert list(scan(family, 3, 200)) == expected
         assert list(scan(family, 100, 200)) == expected[97:]

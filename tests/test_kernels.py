@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gcdseq import _backend
 from gcdseq.families import gcd_via_factorial
-from gcdseq.recurrences import b, left_factorial
+from gcdseq.recurrences import b
 
 from reference_chain import second_order_chain
 
@@ -54,41 +54,36 @@ def test_factorial_mod_early_zero():
     assert _backend.factorial_mod(10, 256) == 0
 
 
-def _above_both(t):
-    """A modulus for t above t! and !t, so the walk's residues are the exact values."""
-    return 2 * (math.factorial(t) + left_factorial(t))
+def _above(t):
+    """A modulus for t above t!, so the walk's residues are the exact values."""
+    return math.factorial(t) + 1
 
 
-def test_left_factorial_walk_against_exact_values():
+def test_factorial_walk_against_exact_values():
     # 63/64, 127/128 and 255/256 are block edges
-    walk = _backend.LeftFactorials(_above_both, 0)
+    walk = _backend.Factorials(_above, 0)
     for t in (0, 0, 1, 2, 3, 7, 8, 40, 41, 63, 64, 65, 127, 128, 256, 300):
-        assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
+        assert walk.at(t, _above(t)) == math.factorial(t), t
 
 
-def test_left_factorial_walk_starting_mid_block():
-    walk = _backend.LeftFactorials(_above_both, 100)
+def test_factorial_walk_starting_mid_block():
+    walk = _backend.Factorials(_above, 100)
     for t in (100, 127, 128, 191, 192, 200):
-        assert walk.at(t, _above_both(t)) == (math.factorial(t), left_factorial(t)), t
+        assert walk.at(t, _above(t)) == math.factorial(t), t
 
 
-def test_left_factorial_walk_refuses_to_step_back():
-    walk = _backend.LeftFactorials(_above_both, 0)
-    walk.at(9, _above_both(9))
-    with pytest.raises(ValueError, match="step back"):
-        walk.at(8, _above_both(8))
-    assert walk.at(9, _above_both(9)) == (math.factorial(9), left_factorial(9))
-
-
-def test_left_factorial_walk_refuses_another_modulus():
-    # never a residue mod anything but the modulus the walk was built with
-    walk = _backend.LeftFactorials(lambda t: 2 * (t * t + t + 1), 5)
+def test_b_mod_pair_refuses_a_walk_of_another_modulus():
+    # never a residue mod anything but the modulus the walk was built with;
+    # b_mod_pair reads t! mod 2x, so a walk built for another x refuses it
+    walk = _backend.Factorials(lambda t: 2 * (t * t + t + 1), 5)
     for t, m in ((5, 2 * 31 + 2), (5, 2 * 31 * 3), (64, 2 * 31), (65, 2 * 4291 // 2)):
         with pytest.raises(ValueError, match="not mod"):
             walk.at(t, m)
-    assert walk.at(70, 2 * 4971) == (math.factorial(70) % 9942, left_factorial(70) % 9942)
+    assert walk.at(70, 2 * 4971) == math.factorial(70) % 9942
     with pytest.raises(ValueError, match="not mod"):
-        _backend.b_mod_pair(70, 4970, walk)
+        _backend.b_mod_pair(70, 4970, walk, 1)
+    # 4971 = 1*(70+2) + 69*(70+1): the form the walk was built for
+    assert _backend.b_mod_pair(70, 4971, walk, 1) == (b(70) + 69 * b(69)) % 4971
 
 
 def _main_x(n):
@@ -130,42 +125,55 @@ def test_factorial_walk_refuses_to_step_back_or_another_modulus():
     assert walk.at(70, _main_x(71)) == math.factorial(70) % _main_x(71)
     with pytest.raises(ValueError, match="step back"):
         walk.at(69, _main_x(70))
+    assert walk.at(70, _main_x(71)) == math.factorial(70) % _main_x(71)  # still at t = 70
     for t, m in ((70, _main_x(70)), (71, 2 * _main_x(72)), (128, _main_x(128))):
         with pytest.raises(ValueError, match="not mod"):
             walk.at(t, m)
     assert walk.at(128, _main_x(129)) == math.factorial(128) % _main_x(129)
 
 
-def _walked_and_exact(ts, x_of):
-    """(b_mod_pair with one walk over ascending ``ts``, exact b mod x), the
-    modulus of t being 2 * x_of(t)."""
-    walk = _backend.LeftFactorials(lambda t: 2 * x_of(t), ts[0] if ts else 0)
-    return ([_backend.b_mod_pair(t, x_of(t), walk) for t in ts],
-            [(b(t - 1) % x_of(t), b(t) % x_of(t)) for t in ts])
+def _walked_and_chained(ts, form_of):
+    """(b_mod_pair with one walk over ascending ``ts``, the reference chain's
+    c*b(t) + e*b(t-1) mod x), where (c, e) = form_of(t) and x = c(t+2) + e(t+1)."""
+    def x_of(t):
+        c, e = form_of(t)
+        return c * (t + 2) + e * (t + 1)
+
+    walk = _backend.Factorials(lambda t: 2 * x_of(t), ts[0] if ts else 0)
+    walked = [_backend.b_mod_pair(t, x_of(t), walk, form_of(t)[0]) for t in ts]
+    chained = []
+    for t in ts:
+        (c, e), x = form_of(t), x_of(t)
+        b_prev, b_cur = second_order_chain(t, x)
+        chained.append((c * b_cur + e * b_prev) % x)
+    return walked, chained
 
 
 _ASCENDING = st.lists(st.integers(min_value=0, max_value=1500), max_size=12).map(sorted)
-_MODULI = st.one_of(st.just(1), st.just(2), st.integers(min_value=1, max_value=2**63 - 1),
-                    st.integers(min_value=2**63, max_value=2**70))
+_COEFFICIENT = st.one_of(st.just(0), st.just(1), st.just(2),
+                         st.integers(min_value=0, max_value=2**63 - 1),
+                         st.integers(min_value=2**63, max_value=2**70))
+# c, e >= 0 and not both 0, so x = c(t+2) + e(t+1) >= 1 at every t
+_FORM = st.tuples(_COEFFICIENT, _COEFFICIENT).filter(any)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_ASCENDING, _MODULI)
-@example([0, 1, 2, 2, 5], 1)
-@example([0, 63, 64, 65, 127, 128, 1499], 7)
-@example([0, 3, 1499], 2**70)
-def test_walk_matches_chain_pure_python(ts, x):
-    walked, exact = _walked_and_exact(ts, lambda t: x)
-    assert walked == exact
+@given(_ASCENDING, _FORM)
+@example([0, 1, 2, 2, 5], (0, 1))  # x = t+1: x = 1 at t = 0, x = 2 at t = 1
+@example([0, 1, 2, 64], (2, 0))  # x = 2(t+2): even at every t
+@example([0, 63, 64, 65, 127, 128, 1499], (1, 7))
+@example([0, 1, 3, 1499], (2**70, 1))  # x >= 2**64
+def test_walk_matches_chain_pure_python(ts, form):
+    walked, chained = _walked_and_chained(ts, lambda t: form)
+    assert walked == chained
 
 
 @settings(max_examples=100, deadline=None)
-@given(_ASCENDING, st.lists(_MODULI, min_size=1, max_size=70))
-@example([0, 1, 2, 2, 5], [1, 2, 3])
-@example([0, 63, 64, 65, 127, 128, 1499], [2, 1, 2**70 + 1, 55])
-@example([70, 130], [2**64 + 13, 10**9 + 7])
-def test_walk_with_a_modulus_per_term_matches_chain(ts, xs):
+@given(_ASCENDING, st.lists(_FORM, min_size=1, max_size=70))
+@example([0, 1, 2, 2, 5], [(0, 1), (1, 0), (2, 3)])
+@example([0, 63, 64, 65, 127, 128, 1499], [(0, 2), (1, 1), (2**70, 1), (55, 0)])
+@example([70, 130], [(2**64 + 13, 0), (1, 10**9 + 7)])
+def test_walk_with_a_modulus_per_term_matches_chain(ts, forms):
     # a scan's moduli differ term by term; a block reduces mod their product
-    walked, exact = _walked_and_exact(ts, lambda t: xs[t % len(xs)])
-    assert walked == exact
-
+    walked, chained = _walked_and_chained(ts, lambda t: forms[t % len(forms)])
+    assert walked == chained

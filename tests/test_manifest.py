@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 
 from gcdseq.cli import SUITES, main
 
@@ -86,8 +87,6 @@ def record(workdir):
 
 def regenerate(path=MANIFEST):
     """Recompute every entry and write the manifest."""
-    import tempfile
-
     with tempfile.TemporaryDirectory() as workdir:
         entries = record(workdir)
     with open(path, "w", encoding="ascii") as fh:
