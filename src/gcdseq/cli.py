@@ -124,7 +124,9 @@ def _read_cache_line(line):
         return None
     if (not isinstance(rec, dict) or rec.keys() != _CACHE_FIELDS
             or not isinstance(rec["family"], str)
-            or not all(type(rec[k]) is int for k in ("n", "x", "y_mod_x", "d", "a"))):
+            or type(rec["n"]) is not int or type(rec["x"]) is not int
+            or type(rec["y_mod_x"]) is not int or type(rec["d"]) is not int
+            or type(rec["a"]) is not int):  # bool is not int here
         return None
     return rec
 

@@ -99,6 +99,8 @@ class Scheme(Enum):
     T1 = "t1"
     T2 = "t2"
 
+    __hash__ = object.__hash__  # identity, as Enum equality is: no Python-level hash per lookup
+
     def level(self, j: int) -> tuple[int, int]:
         """(p_j, c_j) of level j >= 1, from the outermost = 1."""
         return (j + 2, j + 1) if self is Scheme.T1 else (j, j)

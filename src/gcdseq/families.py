@@ -114,6 +114,8 @@ class Kind(Enum):
     LINEAR = "linear"
     ROWLAND = "rowland"
 
+    __hash__ = object.__hash__  # identity, as Enum equality is: no Python-level hash per lookup
+
 
 class _FamilyFields(NamedTuple):
     kind: Kind
@@ -262,20 +264,26 @@ def gcd_partner(family: FamilySpec, n: int) -> int:
     return c * b(t) + e * b(t - 1)
 
 
-def _classify(a: int) -> Classification:
-    if a == 1:
-        return Classification.ONE
-    v = is_prime(a)
-    if v.verdict in (Verdict.PRIME, Verdict.PROBABLE_PRIME):
-        return Classification.PRIME
-    return Classification.COMPOSITE
+_PRIME_VERDICTS = (Verdict.PRIME, Verdict.PROBABLE_PRIME)
 
 
-def _record(family: FamilySpec, n: int, x: int, y_mod_x: int) -> TermRecord:
-    """The record of term n from its numerator and partner residue: d, a, class."""
-    d = math.gcd(x, y_mod_x)
+def _record(family: FamilySpec, n: int, x: int, y_mod_x: int, d: int | None = None) -> TermRecord:
+    """The record of term n from its numerator and partner residue: d, a, class.
+
+    d is gcd(x, y_mod_x) unless given; a Rowland record, which has no
+    partner, passes d = 1. It is one Python call per term: the class is
+    read from ``is_prime`` here, and the record is built as ``NamedTuple``
+    builds one, by ``tuple.__new__``.
+    """
+    if d is None:
+        d = math.gcd(x, y_mod_x)
     a = x // d
-    return TermRecord(family, n, x, y_mod_x, d, a, _classify(a))
+    if a == 1:
+        cls = Classification.ONE
+    else:
+        prime = is_prime(a).verdict in _PRIME_VERDICTS
+        cls = Classification.PRIME if prime else Classification.COMPOSITE
+    return tuple.__new__(TermRecord, (family, n, x, y_mod_x, d, a, cls))
 
 
 def _factorial_mod_prime_power(t: int, p: int, e: int) -> int:
@@ -327,7 +335,7 @@ def _term(family: FamilySpec, n: int, strategy: Strategy) -> TermRecord:
     if family.kind is Kind.ROWLAND:
         _check_index(family, n)
         diff = rowland_diff(n)
-        return TermRecord(family, n, diff, 0, 1, diff, _classify(diff))
+        return _record(family, n, diff, 0, 1)
     x, t, c, e = _definition(family, n)
     if strategy is Strategy.EXACT_BIGINT:
         y_mod_x = gcd_partner(family, n) % x

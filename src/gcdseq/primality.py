@@ -13,9 +13,12 @@ Three regimes:
   Jaeschke (*On strong pseudoprimes to several bases*, Math. Comp. 61,
   1993), and psi_9 = psi_10 = psi_11 from Jiang and Deng (Math. Comp. 83,
   2014); psi_12 is above 2**64, so all 12 bases decide every v below it.
-* v >= 2**64: Baillie-PSW style combination (strong base-2 test plus a
-  strong Lucas test with Selfridge parameters); reported as a probable
-  prime, never as proven.
+  One gcd with the bases' product screens v first: a v that shares a
+  factor with it is prime exactly when it is one of the bases. The strong
+  rounds of all k bases then run in one loop (``_strong_rounds``).
+* v >= 2**64: Baillie-PSW style combination (the same gcd screen, the
+  strong base-2 round of that loop, and a strong Lucas test with Selfridge
+  parameters); reported as a probable prime, never as proven.
 
 ``factor`` splits 1 <= v < 2**64 into primes exactly. One gcd with the
 product of the primes below 1000 names the small prime factors; every other
@@ -38,6 +41,7 @@ _MR64_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR64_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
                 (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
                 (3825123056546413051, 9))
+_MR64_PRODUCT = math.prod(_MR64_BASES)  # v shares a factor with it iff a base divides v
 _TRIAL_LIMIT = 10**6  # is_prime's trial division needs this <= _UNTRIED**2
 
 
@@ -93,15 +97,22 @@ def _trial_division(v):
     return math.gcd(v, _PRIMORIAL) == 1
 
 
-def _mr_round(v, base, d, r):
-    x = pow(base, d, v)
-    if x == 1 or x == v - 1:
-        return True
-    for _ in range(r - 1):
-        x = x * x % v
-        if x == v - 1:
-            return True
-    return False
+def _strong_rounds(v, bases):
+    """Whether the odd v > 2 is a strong probable prime to every base, in one loop."""
+    m = v - 1
+    r = (m & -m).bit_length() - 1
+    d = m >> r
+    for base in bases:
+        x = pow(base, d, v)
+        if x == 1 or x == m:
+            continue
+        for _ in range(r - 1):
+            x = x * x % v
+            if x == m:
+                break
+        else:
+            return False
+    return True
 
 
 def _mr_is_prime(v):
@@ -109,18 +120,12 @@ def _mr_is_prime(v):
     deterministic for v < 2**64."""
     if v < 2:
         return False
-    for p in _MR64_BASES:
-        if v % p == 0:
-            return v == p
-    bases = _MR64_BASES
+    if math.gcd(v, _MR64_PRODUCT) != 1:
+        return v in _MR64_BASES
     for bound, k in _MR64_BOUNDS:
         if v < bound:
-            bases = _MR64_BASES[:k]
-            break
-    d = v - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    return all(_mr_round(v, base, d, r) for base in bases)
+            return _strong_rounds(v, _MR64_BASES[:k])
+    return _strong_rounds(v, _MR64_BASES)
 
 
 def _jacobi(a, n):
@@ -187,13 +192,9 @@ def _strong_lucas_prp(n):
 
 
 def _bpsw_is_probable_prime(v):
-    for p in _MR64_BASES:
-        if v % p == 0:
-            return v == p
-    d = v - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    if not _mr_round(v, 2, d, r):
+    if math.gcd(v, _MR64_PRODUCT) != 1:
+        return v in _MR64_BASES
+    if not _strong_rounds(v, (2,)):
         return False
     if math.isqrt(v) ** 2 == v:
         return False
@@ -202,22 +203,26 @@ def _bpsw_is_probable_prime(v):
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(v: int) -> PrimalityVerdict:
-    """Classify v >= 1 as One, Prime, Composite or ProbablePrime."""
+    """Classify v >= 1 as One, Prime, Composite or ProbablePrime.
+
+    The verdict is built as ``NamedTuple._make`` builds one, by
+    ``tuple.__new__``, without a Python-level ``__new__`` call.
+    """
     if v < 1:
         raise NonPositive(f"primality undefined for {v} < 1")
     if v == 1:
-        return PrimalityVerdict(1, Verdict.ONE, Method.TRIAL_DIVISION)
+        return tuple.__new__(PrimalityVerdict, (1, Verdict.ONE, Method.TRIAL_DIVISION))
     if v < _TRIAL_LIMIT:
         by_trial = _trial_division(v)
         if by_trial != _mr_is_prime(v):
             raise RuntimeError(f"primality cross-check mismatch at {v}")
         verdict = Verdict.PRIME if by_trial else Verdict.COMPOSITE
-        return PrimalityVerdict(v, verdict, Method.TRIAL_DIVISION)
+        return tuple.__new__(PrimalityVerdict, (v, verdict, Method.TRIAL_DIVISION))
     if v < _U64:
         verdict = Verdict.PRIME if _mr_is_prime(v) else Verdict.COMPOSITE
-        return PrimalityVerdict(v, verdict, Method.DETERMINISTIC_MR64)
+        return tuple.__new__(PrimalityVerdict, (v, verdict, Method.DETERMINISTIC_MR64))
     verdict = Verdict.PROBABLE_PRIME if _bpsw_is_probable_prime(v) else Verdict.COMPOSITE
-    return PrimalityVerdict(v, verdict, Method.STRONG_PROBABLE)
+    return tuple.__new__(PrimalityVerdict, (v, verdict, Method.STRONG_PROBABLE))
 
 
 def _brent_rho(v):

@@ -16,6 +16,7 @@ from gcdseq.families import (
     FamilySpec,
     Kind,
     Strategy,
+    TermRecord,
     gcd_partner,
     gcd_via_factorial,
     linear,
@@ -40,6 +41,20 @@ from reference_chain import second_order_chain
 def test_family_parse_roundtrip():
     for text in ("main", "quad:1", "quad:5", "linear:3", "rowland"):
         assert str(FamilySpec.parse(text)) == text
+
+
+def test_equal_specs_hash_equal():
+    # Kind hashes by identity, as its members compare; equal specs, however
+    # built, must still key one dict entry and one _form cache entry
+    pairs = [(MAIN, FamilySpec.parse("main")), (MAIN, FamilySpec(Kind.MAIN)),
+             (quadratic(3), FamilySpec.parse("quad:3")),
+             (linear(2**70 + 5), FamilySpec.parse(" linear:1180591620717411303429 ")),
+             (ROWLAND, FamilySpec.parse("rowland"))]
+    for built, parsed in pairs:
+        assert built == parsed and hash(built) == hash(parsed)
+        assert {built: 1}[parsed] == 1
+    assert hash(Kind.MAIN) == hash(Kind("main"))
+    assert families._form(FamilySpec.parse("quad:3")) is families._form(quadratic(3))
 
 
 @pytest.mark.parametrize("bad", ["", "quad", "quad:0", "quad:x", "main:2", "primes"])
@@ -490,8 +505,9 @@ def test_scan_matches_exact_records(family_text, offset, width):
     family = FamilySpec.parse(family_text)
     n_from = family.first_index + offset
     n_to = n_from + width
-    assert list(scan(family, n_from, n_to)) == [
-        term(family, n, Strategy.EXACT_BIGINT) for n in range(n_from, n_to + 1)]
+    scanned = list(scan(family, n_from, n_to))
+    assert scanned == [term(family, n, Strategy.EXACT_BIGINT) for n in range(n_from, n_to + 1)]
+    assert all(type(rec) is TermRecord for rec in scanned)
 
 
 def test_scan_walks_near_the_start_and_factors_far_out(fresh_columns):

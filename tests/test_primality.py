@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,17 @@ from gcdseq.primality import (
     _TRIAL_LIMIT,
     _UNTRIED,
     Method,
+    PrimalityVerdict,
     Verdict,
     _bpsw_is_probable_prime,
     _mr_is_prime,
-    _mr_round,
+    _strong_rounds,
     _trial_division,
     factor,
     is_prime,
 )
+
+import reference_primality
 
 
 def _sieve(limit):
@@ -88,11 +92,10 @@ def test_trial_division_exhaustive():
 @pytest.mark.parametrize("psi, k", _MR64_BOUNDS)
 def test_each_psi_k_needs_the_next_base(psi, k):
     # psi_k is a strong pseudoprime to each of the first k prime bases, the
-    # whole set _mr_is_prime uses below it; at psi_k it takes more bases
-    d = psi - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    assert all(_mr_round(psi, base, d, r) for base in _MR64_BASES[:k])
+    # whole set _mr_is_prime uses below it, one base at a time; at psi_k it
+    # takes more bases
+    for base in _MR64_BASES[:k]:
+        assert _strong_rounds(psi, (base,)), base
     assert not _mr_is_prime(psi)
     assert is_prime(psi).verdict is Verdict.COMPOSITE
 
@@ -151,6 +154,91 @@ def test_bpsw_exhaustive_small():
 @given(st.integers(min_value=2, max_value=2**64 - 1))
 def test_bpsw_agrees_with_deterministic_mr(v):
     assert _bpsw_is_probable_prime(v) == _mr_is_prime(v)
+
+
+# ---------------------------------------------------------------------------
+# differential: the one-loop kernel against the per-base reference
+# ---------------------------------------------------------------------------
+
+def _reference_verdict(v):
+    """What is_prime gives for 1 <= v < 2**64, by the reference kernel."""
+    if v == 1:
+        return PrimalityVerdict(1, Verdict.ONE, Method.TRIAL_DIVISION)
+    method = Method.TRIAL_DIVISION if v < 10**6 else Method.DETERMINISTIC_MR64
+    verdict = Verdict.PRIME if reference_primality._mr_is_prime(v) else Verdict.COMPOSITE
+    return PrimalityVerdict(v, verdict, method)
+
+
+def _assert_matches_reference(v):
+    assert _mr_is_prime(v) == reference_primality._mr_is_prime(v), v
+    got = is_prime(v)
+    assert type(got) is PrimalityVerdict, v
+    assert got == _reference_verdict(v), v
+    if v >= 2:
+        assert _bpsw_is_probable_prime(v) == bool(got), v
+
+
+def _korselt(n, factors):
+    # n is a Carmichael number: squarefree, composite, and p - 1 | n - 1
+    return (len(factors) > 1 and len(set(factors)) == len(factors)
+            and math.prod(factors) == n and all((n - 1) % (p - 1) == 0 for p in factors))
+
+
+# the Carmichael numbers below 520,000 (OEIS A002997), each checked below
+_CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+               41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217,
+               162401, 172081, 188461, 252601, 278545, 294409, 314821, 334153,
+               340561, 399001, 410041, 449065, 488881, 512461)
+
+
+def _chernick_carmichaels():
+    # (6k+1)(12k+1)(18k+1) is a Carmichael number when all three factors are
+    # prime (Chernick, 1939): small k, and k just below the 2**64 line
+    ref = reference_primality._mr_is_prime
+    for k in (*range(1, 400), *range(240000, 242000)):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        n = math.prod(factors)
+        if n < 2**64 and all(map(ref, factors)):
+            assert _korselt(n, factors), k
+            yield n
+
+
+def test_reference_keeps_the_cited_bases_and_bounds():
+    assert reference_primality._MR64_BASES == _MR64_BASES
+    assert reference_primality._MR64_BOUNDS == _MR64_BOUNDS
+    assert _TRIAL_LIMIT == 10**6
+
+
+def test_matches_reference_on_pseudoprimes_bases_and_carmichaels():
+    values = {2**64 - 59, 2**64 - 1}
+    for psi, _ in _MR64_BOUNDS:
+        values |= {psi - 2, psi, psi + 2}
+    for size in range(1, len(_MR64_BASES) + 1):  # every base and every product of bases
+        values.update(math.prod(c) for c in combinations(_MR64_BASES, size))
+    for n in _CARMICHAEL:
+        assert _korselt(n, list(factor(n))), n
+    values.update(_CARMICHAEL)
+    chernick = list(_chernick_carmichaels())
+    assert len(chernick) >= 20 and max(chernick) > 2**63
+    values.update(chernick)
+    ref = reference_primality._mr_is_prime
+    below = [p for p in range(2**32 - 2000, 2**32) if ref(p)]
+    assert len(below) >= 50
+    values.update(p * p for p in below)  # squares of primes near 2**32, below 2**64
+    for v in sorted(values):
+        _assert_matches_reference(v)
+    # squares of primes just above 2**32 reach the Baillie-PSW regime
+    above = [p for p in range(2**32, 2**32 + 500) if ref(p)]
+    assert above
+    for p in above:
+        assert is_prime(p * p) == (p * p, Verdict.COMPOSITE, Method.STRONG_PROBABLE)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=2**64 - 1),
+                 st.integers(min_value=1, max_value=10**6 - 1)))  # the cross-checked regime
+def test_matches_reference_on_random_values(v):
+    _assert_matches_reference(v)
 
 
 # ---------------------------------------------------------------------------
