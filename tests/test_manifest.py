@@ -4,11 +4,14 @@ output recorded in ``manifest.json``.
 Per invocation the manifest holds the argv, the exit code and the sha256 of
 stdout, of stderr and of every file the invocation leaves in its working
 directory (the ``--cache`` files; ``{dir}`` in an argv stands for that
-directory). The invocations are the ten ``verify`` suites at their
-defaults, every argv of the benchmark's workloads (``perfbench/run.py``, at
-its default seed) and ``gen`` in each format, with and without ``--cache``,
-for five families. They run in this process, through ``cli.main``, sharing
-its caches, as the benchmark's ``session`` does.
+directory; ``{dir}`` also stands for it in stdout and stderr). The
+invocations are the ten ``verify`` suites at their defaults, every argv of
+the benchmark's workloads (``perfbench/run.py``, at its default seed),
+``gen`` in each format, with and without ``--cache``, for five families,
+far ``gen`` starts that take the single-term route per term, ``cf`` in
+both schemes and ``oeis-check`` on b-files that ``gen`` wrote. They run in
+this process, through ``cli.main``, sharing its caches, as the benchmark's
+``session`` does.
 
 An intended output change regenerates the manifest, and the change that
 needs it says so:
@@ -56,6 +59,25 @@ def invocations():
             # cold, then warm: the second run reads what the first wrote
             cached = gen + ["--format", fmt, "--cache", f"{{dir}}/gen{i}-{fmt}.jsonl"]
             argvs += [cached, cached]
+    # far starts, one single term each: factors of x with Wilson's form
+    # (main n = 357,603 and 357,605), run forward, and prime powers (quad:3
+    # and linear:2); strides where x >= 2**64 (quad:2**70+5 at t >= 4096)
+    for family, n_from, n_to in (("main", 357_602, 357_605), ("quad:3", 100_000, 100_005),
+                                 ("linear:2", 100_000, 100_005),
+                                 (f"quad:{2**70 + 5}", 4100, 4110)):
+        argvs.append(["gen", "--family", family, "--from", str(n_from), "--to", str(n_to),
+                      "--format", "jsonl"])
+    # m = 0 ends at a zero denominator under a level, t2's m = 4 at level 0
+    for scheme in ("t1", "t2"):
+        argvs += [["cf", "--scheme", scheme, "--n", n, "--m", m]
+                  for n, m in (("5", "3"), ("5", "0"), ("5", "4"), ("1700", "7"))]
+    for name, family, n_from, n_to, offset in (("main.b", "main", "3", "400", "2"),
+                                               ("quad3.b", "quad:3", "100000", "100005", "0")):
+        path = f"{{dir}}/{name}"
+        argvs.append(["gen", "--family", family, "--from", n_from, "--to", n_to,
+                      "--format", "bfile", "--offset", offset, "--out", path])
+        check = ["oeis-check", "--bfile", path, "--family", family, "--offset"]
+        argvs += [check + [offset], check + ["auto"], check + ["1"]]  # the last diverges
     return argvs
 
 
@@ -71,13 +93,14 @@ def _run(argv, workdir):
             code = main([arg.replace("{dir}", workdir) for arg in argv])
         except SystemExit as exc:
             code = exc.code
+    out, err = (text.getvalue().replace(workdir, "{dir}") for text in (out, err))
     files = {}
     if any("{dir}" in arg for arg in argv):
         for name in sorted(os.listdir(workdir)):
             with open(os.path.join(workdir, name), "rb") as fh:
                 files[name] = _sha(fh.read())
-    return {"argv": argv, "exit": code, "stdout": _sha(out.getvalue().encode()),
-            "stderr": _sha(err.getvalue().encode()), "files": files}
+    return {"argv": argv, "exit": code, "stdout": _sha(out.encode()),
+            "stderr": _sha(err.encode()), "files": files}
 
 
 def record(workdir):
