@@ -116,12 +116,26 @@ def _emit(text, out_path):
 _CACHE_FIELDS = {"family", "n", "x", "y_mod_x", "d", "a", "class"}
 
 
-def _read_cache_line(line):
-    """The term dict a cache line holds, or None if the line is malformed."""
+def _read_cache_line(line, key, n_from, n_to):
+    """The term dict a cache line holds, or None if the line is malformed.
+
+    A line with an integer past the digit limit is malformed unless it is an
+    ASCII entry of another family than ``key``, or of an n outside
+    n_from..n_to, read with its integers left as text; then it is returned
+    as it stands, to be kept byte for byte.
+    """
     try:
         rec = json.loads(line)
-    except ValueError:
+    except json.JSONDecodeError:
         return None
+    except ValueError:  # an integer past the digit limit
+        try:
+            rec = json.loads(line, parse_int=str)
+            other = line.isascii() and type(rec["family"]) is str and (
+                rec["family"] != key or not n_from <= int(rec["n"]) <= n_to)
+        except (ValueError, TypeError, KeyError):
+            return None
+        return line.rstrip("\n") if other else None
     if (not isinstance(rec, dict) or rec.keys() != _CACHE_FIELDS
             or not isinstance(rec["family"], str)
             or type(rec["n"]) is not int or type(rec["x"]) is not int
@@ -136,10 +150,13 @@ def _cached_records(family, n_from, n_to, cache_path):
 
     Every term comes from one ``scan`` of the range. A cached entry equal to
     the scanned record is kept as read; any other entry for the range, and
-    any malformed line, gets one warning on stderr and is dropped. A run that
-    adds a term or drops a line rewrites the whole file (valid entries in
-    file order, then fresh ones) through a temporary file and ``os.replace``;
-    a run served wholly from a clean cache writes nothing.
+    any malformed line, gets one warning on stderr and is dropped. Integers
+    are read up to the digits of the run's largest term; a line past that
+    limit is malformed unless it is another family's entry or one for an n
+    outside the range, which is kept byte for byte. A run that adds a term
+    or drops a line rewrites the whole file (valid entries in file order,
+    then fresh ones) through a temporary file and ``os.replace``; a run
+    served wholly from a clean cache writes nothing.
     """
     from . import families
 
@@ -158,13 +175,14 @@ def _cached_records(family, n_from, n_to, cache_path):
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                rec = _read_cache_line(line)
+                rec = _read_cache_line(line, key, n_from, n_to)
                 if rec is None:
                     print(f"warning: malformed cache line {lineno}; ignored",
                           file=sys.stderr)
                     dropped = True
                     continue
-                cached[(rec["family"], rec["n"])] = rec
+                # another term's line past the digit limit is kept under its number
+                cached[lineno if type(rec) is str else (rec["family"], rec["n"])] = rec
     records = []
     fresh = []
     for scanned in families.scan(family, n_from, n_to):
@@ -184,7 +202,7 @@ def _cached_records(family, n_from, n_to, cache_path):
         try:
             with open(tmp, "w", encoding="ascii") as fh, _exact_text():
                 for rec in [*cached.values(), *fresh]:
-                    fh.write(json.dumps(rec) + "\n")
+                    fh.write((rec if type(rec) is str else json.dumps(rec)) + "\n")
             os.replace(tmp, cache_path)
         except OSError as exc:
             # name the path the user gave, not the temporary file beside it

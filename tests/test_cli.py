@@ -588,6 +588,34 @@ def test_cache_reads_back_terms_past_the_digit_limit(tmp_path, capsys):
     assert cache.read_bytes() == written
 
 
+def test_cache_keeps_other_terms_past_the_digit_limit(tmp_path, capsys):
+    # a run reads integers up to the digits of its own largest term; a line
+    # past that limit which names another family, or an n outside the run's
+    # range, is kept byte for byte in file order, with no warning, while one
+    # for the run's own range, or one that is not JSON, warns and is dropped
+    big = "9" * 4400
+    line = ('{"family": "%s", "n": %d, "x": ' + big + ', "y_mod_x": 1, "d": 1, "a": '
+            + big + ', "class": "prime"}\n')
+    other_family, other_n = line % ("linear:7", 100000), line % ("main", 9)
+    own_n, torn = line % ("main", 4), (line % ("quad:2", 3))[:4420]
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(other_family + own_n + other_n + torn + "\n")
+    _, first, _ = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "5",
+                      "--format", "jsonl")
+    code, out, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "5",
+                         "--format", "jsonl", "--cache", str(cache))
+    assert (code, out) == (0, first)
+    assert err == ("warning: malformed cache line 2; ignored\n"
+                   "warning: malformed cache line 4; ignored\n")
+    assert cache.read_text() == other_family + other_n + first
+    # the next run reads the kept lines again and has nothing to add or drop
+    written = cache.read_bytes()
+    code, again, err = run(capsys, "gen", "--family", "main", "--from", "3", "--to", "5",
+                           "--format", "jsonl", "--cache", str(cache))
+    assert (code, again, err) == (0, first, "")
+    assert cache.read_bytes() == written
+
+
 # ---------------------------------------------------------------------------
 # oeis-check
 # ---------------------------------------------------------------------------
