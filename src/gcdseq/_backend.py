@@ -20,13 +20,29 @@ partner residue mod x through ``partner_from_factorial``, which is also
 where the single-term route ends. ``verify_factorial_replacement``
 (``families``) reads (n-1)! mod x from a second walk, over m = n-1.
 
-``factorial_mod(m, x)`` reduces the largest stored exact (64*j)!, j < 64,
-with one bigint ``%``, then multiplies in the remaining factors 64 at a time,
-one product and one ``%`` per stride, since multiplying small factors
-together costs less than a ``%``. Single terms (``families``) read t! mod 2x
-from it whole below ``_TABLE_LIMIT``, where that is one ``%`` and at most one
-stride, and through the prime powers of 2x (the factor route) above it;
-``gcd_via_factorial`` reads (n-1)! mod x.
+``factorial_mod(m, x)`` is the one answer to m! mod x for a single m. Its
+callers are single terms (``families``), which read t! mod 2x, and
+``gcd_via_factorial``, which reads (n-1)! mod x. The route is chosen by
+(m, x) alone, never by the caller:
+
+* table, m < ``_TABLE_LIMIT`` (4096): the stored exact (64*j)!, j = m // 64,
+  reduced with one bigint ``%``, and at most one product of the remaining
+  63 factors or fewer;
+* factor route, m >= 4096 while the odd part of x is below 2**64: m! mod p^e
+  for each prime power p^e exactly dividing x, joined by the Chinese
+  remainder theorem. A p^e with Legendre's v_p(m!) >= e gives 0; a prime
+  p > m with k = p-1-m < m gives (-1)^(k+1)/k! mod p by Wilson's theorem
+  ((p-1)! = -1 and (m+1)...(p-1) = (-1)^k * k! mod p); any other runs m!
+  mod p^e forward. The odd part is split by ``primality.factor``, which is
+  exact only below 2**64, where its Miller-Rabin base set is deterministic;
+  the power of 2 needs no factoring;
+* strides, any other (m, x): the largest stored (64*j)!, j < 64, reduced
+  mod x, then the remaining factors 64 at a time, one product and one
+  ``%`` per stride, since multiplying small factors together costs less
+  than a ``%``.
+
+Wilson's k! and the forward runs come from ``_strided_factorial_mod``, the
+plain stride routine, never back through ``factorial_mod``.
 
 Everything here is plain Python integers, with no size limit on t, m or the
 modulus. The exact recurrences in ``recurrences`` are the reference it is
@@ -50,7 +66,8 @@ class Factorials:
     The exact t! is kept at t = 64j only. The first request in block j
     advances it there (one ``math.perm`` for all the blocks passed), reduces
     it mod M, the product of the moduli of the block's t from the one asked
-    for to the block's end 64j + 63, and steps F = F*(t+1) mod M through the
+    for to the block's end 64j + 63, multiplies in the factors up to that t
+    in one more product, and steps F = F*(t+1) mod M through the rest of the
     block, keeping F mod each modulus; later requests in the block are list
     lookups, so each block is listed once. Asking for a smaller t than the
     last one, or any modulus but ``modulus(t)``, is an error, so a residue
@@ -85,9 +102,7 @@ class Factorials:
         ts = range(lo, _STRIDE * (j + 1))
         moduli = [self._modulus(t) for t in ts]
         big = math.prod(moduli)
-        f = self._fact % big
-        for t in range(_STRIDE * j, lo):
-            f = f * (t + 1) % big
+        f = self._fact % big * math.perm(lo, lo - _STRIDE * j) % big  # lo! mod big
         listed = []
         for t, m in zip(ts, moduli):
             listed.append(f % m)
@@ -104,8 +119,7 @@ def partner_from_factorial(t, x, c, f):
     (x*[t = 1] + c*(t+2)*f) mod 2x is 2*(partner mod x), and halving it is
     exact; e drops out. Every modular route to a partner residue ends here.
     """
-    m = 2 * x
-    return (x * (t == 1) + c * (t + 2) * f) % m // 2
+    return (x * (t == 1) + c * (t + 2) * f) % (2 * x) // 2
 
 
 def b_mod_pair(t, x, walk, c):
@@ -129,20 +143,43 @@ def _stride_factorial(j):
 
 
 def factorial_mod(m, x):
-    """Return ``m! mod x`` for m >= 0, x >= 1.
+    """Return ``m! mod x`` for m >= 0, x >= 1, by the route (m, x) selects:
+    the table, the factor route or strides (module docstring)."""
+    if m < _TABLE_LIMIT:  # the table and at most one stride
+        j = m // _STRIDE
+        r = _stride_factorial(j) % x
+        if r and m > _STRIDE * j:
+            r = r * math.perm(m, m - _STRIDE * j) % x
+        return r
+    from .primality import _U64, factor  # loaded here, so start-up skips primality
 
-    The stored (64*j)!, j = m // 64 clamped below 64, is reduced mod x, and
-    the factors 64*j+1 .. m come in strides of 64, each one product
-    ``math.perm(hi, hi - lo)`` = (lo+1)...hi (a product tree in C) and one
-    ``%``: below ``_TABLE_LIMIT``, one stride of at most 63 factors, which
-    is why single terms with t below it read t! mod 2x here directly. Once
-    the residue is 0 no further stride runs.
+    s = (x & -x).bit_length() - 1  # x = 2**s * odd
+    if x >> s >= _U64:  # factor() is exact below 2**64 only
+        return _strided_factorial_mod(m, x)
+    f = 0
+    for p, e in {**factor(x >> s), 2: s}.items():
+        v, q = 0, m  # Legendre's v_p(m!), counted up to e
+        while q and v < e:
+            q //= p
+            v += q
+        if v < e:  # else m! = 0 mod p^e
+            pe, k, rest = p**e, p - 1 - m, x // p**e
+            r = (pow((-1) ** (k + 1) * _strided_factorial_mod(k, p), -1, p)  # Wilson
+                 if e == 1 and k < m else _strided_factorial_mod(m, pe))  # or forward
+            f += r * rest * pow(rest, -1, pe)
+    return f % x
+
+
+def _strided_factorial_mod(m, x):
+    """``m! mod x`` for any m >= 0 and x >= 1 by strides: the stored
+    (64*j)!, j = m // 64 clamped below 64, reduced mod x, then the factors
+    64*j+1 .. m 64 at a time, each one product ``math.perm(hi, hi - lo)`` =
+    (lo+1)...hi (a product tree in C) and one ``%``. Once the residue is 0
+    no further stride runs.
     """
     j = min(m, _TABLE_LIMIT - 1) // _STRIDE
-    r = _stride_factorial(j) % x
-    for lo in range(_STRIDE * j, m, _STRIDE):
-        if r == 0:
-            break
+    r, lo = _stride_factorial(j) % x, _STRIDE * j
+    while r and lo < m:
         hi = min(lo + _STRIDE, m)
-        r = r * math.perm(hi, hi - lo) % x
+        r, lo = r * math.perm(hi, hi - lo) % x, hi
     return r

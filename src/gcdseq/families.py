@@ -55,39 +55,17 @@ residue. The routes are:
   those families stay exact. A Rowland scan has no partner and reads no
   column;
 * single term (``term`` with ``Strategy.MODULAR_FAST``): the identity with
-  F = t! mod 2x, read from the factorial table or, far out, built by the
-  factor route, as follows.
+  F = ``_backend.factorial_mod(t, 2x)``, which chooses its own route by
+  (t, 2x) and returns 1 at t = 0 and t = 1.
 
 For t < 2 the identity needs no factorial: !t = t and t! = 1, so
-2*partner = x*t + c*(t+2) exactly.
-
-For t >= 2 the left factorial !t = 0! + 1! + (2! + ... + (t-1)!) is
-2 plus a sum of even numbers, so x*!t = 0 (mod 2x) and the identity gives
-2*(partner mod x) = c*(t+2)*F mod 2x with F = t! mod 2x.
-
-Both cases are 2*(partner mod x) = (x*[t = 1] + c*(t+2)*F) mod 2x, which
-``_backend.partner_from_factorial`` halves for the column and the single
-term alike; only F differs in where it comes from.
-
-Below ``_backend._TABLE_LIMIT`` (t < 4096), F is
-``_backend.factorial_mod(t, 2x)``: one ``%`` of a stored exact (64*j)!,
-j < 64, and at most one product of up to 63 factors. At and above the
-limit that call runs 64 factors per ``%`` up to t, so there the factor
-route (``_factor_route``) builds F by the Chinese remainder theorem from
-t! mod p^e for each p^e exactly dividing 2x:
-
-* if Legendre's v_p(t!) = sum_i floor(t/p^i) is >= e, the residue is 0;
-* else if e = 1 (then p > t), Wilson's (p-1)! = -1 (mod p) and
-  (t+1)(t+2)...(p-1) = (-1)^k * k! (mod p), k = p-1-t, give
-  t! = (-1)^(k+1) / k! (mod p), so the cheaper of t and k factors is run;
-* else the residue is t! mod p^e, run forward.
-
-Both k! and t! come from ``_backend.factorial_mod``.
-
-The factor route is exact while x < 2**64: ``primality.factor`` confirms
-each prime by Miller-Rabin over a base set that is deterministic below
-2**64. For larger x, F is ``factorial_mod(t, 2x)`` at every t, without
-factoring.
+2*partner = x*t + c*(t+2) exactly. For t >= 2 the left factorial
+!t = 0! + 1! + (2! + ... + (t-1)!) is 2 plus a sum of even numbers, so
+x*!t = 0 (mod 2x) and the identity gives 2*(partner mod x) = c*(t+2)*F
+mod 2x with F = t! mod 2x. Both cases are 2*(partner mod x) =
+(x*[t = 1] + c*(t+2)*F) mod 2x, which ``_backend.partner_from_factorial``
+halves for the column and the single term alike; only F differs in where
+it comes from.
 
 The Rowland sequence is carried as a degenerate family whose "terms" are its
 first differences.
@@ -104,7 +82,7 @@ from typing import Iterator, NamedTuple
 from . import _backend
 from .bfile import read_int
 from .errors import EmptyRange, IndexBelowDomain, UnsupportedFamily
-from .primality import _U64, Verdict, factor, is_prime
+from .primality import Verdict, is_prime
 from .recurrences import _RecurrenceCache, b, rowland_diff
 
 
@@ -286,56 +264,19 @@ def _record(family: FamilySpec, n: int, x: int, y_mod_x: int, d: int | None = No
     return tuple.__new__(TermRecord, (family, n, x, y_mod_x, d, a, cls))
 
 
-def _factorial_mod_prime_power(t: int, p: int, e: int) -> int:
-    """t! mod p**e for a prime p: 0 by Legendre, Wilson's form, or forward."""
-    v, q = 0, t
-    while q and v < e:
-        q //= p
-        v += q
-    if v >= e:
-        return 0
-    k = p - 1 - t
-    if e == 1 and k < t:
-        r = pow(_backend.factorial_mod(k, p), -1, p)
-        return r if k % 2 else p - r
-    return _backend.factorial_mod(t, p**e)
-
-
 def _partner_residue(x: int, t: int, c: int, e: int) -> int:
     """The gcd partner c*b(t) + e*b(t-1) mod its numerator x, never
-    materialized: t! mod 2x read from the factorial table below
-    ``_backend._TABLE_LIMIT`` or for x >= 2**64, else by ``_factor_route``,
-    and halved by ``_backend.partner_from_factorial`` (module docstring).
+    materialized: one ``_backend.factorial_mod(t, 2x)``, halved by
+    ``_backend.partner_from_factorial`` (module docstring).
     """
-    if t >= _backend._TABLE_LIMIT and x < _U64:  # factor() is exact below 2**64
-        return _factor_route(x, t, c, e)
-    f = _backend.factorial_mod(t, 2 * x) if t >= 2 else 1  # 0! = 1! = 1
-    return _backend.partner_from_factorial(t, x, c, f)
-
-
-def _factor_route(x: int, t: int, c: int, e: int) -> int:
-    """``_partner_residue`` for t >= 2 and x < 2**64 by the factor route:
-    t! mod 2x by the CRT over the prime powers of 2x (module docstring).
-    """
-    m = 2 * x
-    powers = factor(x)
-    powers[2] = powers.get(2, 0) + 1
-    f = 0
-    for p, k in powers.items():
-        r = _factorial_mod_prime_power(t, p, k)
-        if r:
-            q = p**k
-            rest = m // q
-            f += r * rest * pow(rest, -1, q)
-    return _backend.partner_from_factorial(t, x, c, f)
+    return _backend.partner_from_factorial(t, x, c, _backend.factorial_mod(t, 2 * x))
 
 
 def _term(family: FamilySpec, n: int, strategy: Strategy) -> TermRecord:
     """The record of term n, with the partner mod x by ``strategy``."""
     if family.kind is Kind.ROWLAND:
         _check_index(family, n)
-        diff = rowland_diff(n)
-        return _record(family, n, diff, 0, 1)
+        return _record(family, n, rowland_diff(n), 0, 1)
     x, t, c, e = _definition(family, n)
     if strategy is Strategy.EXACT_BIGINT:
         y_mod_x = gcd_partner(family, n) % x
@@ -347,9 +288,9 @@ def _term(family: FamilySpec, n: int, strategy: Strategy) -> TermRecord:
 def term(family: FamilySpec, n: int, strategy: Strategy = Strategy.MODULAR_FAST) -> TermRecord:
     """Compute one term; both strategies produce identical records.
 
-    ``MODULAR_FAST`` reads t! mod 2x from the factorial table below t = 4096
-    and takes the factor route above it, so a single term far out costs a
-    factorisation of x, not an O(n) chain or a walk up from t = 0.
+    ``MODULAR_FAST`` reads t! mod 2x from one ``_backend.factorial_mod``
+    call, so a single term far out costs at most a factorisation of x or
+    t/64 strides, never an O(n) chain or a walk up from t = 0.
     """
     return _term(family, n, strategy)
 
@@ -410,8 +351,7 @@ def _partner_residues(family: FamilySpec, n_from: int, n_to: int):
     Both routes compute y mod x from t! mod 2x through the partner identity
     (module docstring). A range that starts farther past the column's end
     than it is long takes the single-term route per term, lazily (t! mod 2x
-    from the factorial table or the factor route), and leaves the column as
-    it is. Any other range extends the column to n_to, walking t! mod 2x
+    from ``_backend.factorial_mod``), and leaves the column as it is. Any other range extends the column to n_to, walking t! mod 2x
     with ``Factorials``, and reads a slice of it.
     """
     column = _column(family)
@@ -440,7 +380,10 @@ def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
 
 
 def gcd_via_factorial(n: int, x: int) -> int:
-    """gcd(x, (n-1)!) with the factorial from ``_backend.factorial_mod``."""
+    """gcd(x, (n-1)!) from one ``_backend.factorial_mod(n - 1, x)``: the
+    table below n = 4097, then the factors of x while its odd part is below
+    2**64, else strides (``_backend``'s docstring).
+    """
     if n < 3:
         raise IndexBelowDomain(f"defined for n >= 3, got {n}")
     return math.gcd(x, _backend.factorial_mod(n - 1, x))
@@ -501,9 +444,8 @@ def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
     """Recompute every term's partner residue by each route and compare them.
 
     Per term, the exact residue ``gcd_partner % x`` and the single-term
-    route's ``_partner_residue`` (the table below t = 4096, the factor route
-    above) are compared with the residue a scan reads from
-    the family's column. This is the record-for-record check: on every
+    route's ``_partner_residue`` (one ``_backend.factorial_mod`` call) are
+    compared with the residue a scan reads from the family's column. This is the record-for-record check: on every
     route x comes from ``_form``, and d, a and the class are functions of
     (x, y_mod_x) through ``_record``, so two records are equal exactly
     when their residues are.

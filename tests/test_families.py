@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcdseq import _backend, families
+from gcdseq import _backend, families, primality
 from gcdseq.errors import IndexBelowDomain, UnsupportedFamily
 from gcdseq.families import (
     MAIN,
@@ -324,8 +324,8 @@ def test_strategies_identical_random(family_text, n):
 
 
 # ---------------------------------------------------------------------------
-# single terms: the table route below t = 4096, the factor route above,
-# against the chain and the exact route
+# single terms: one _backend.factorial_mod(t, 2x) each, which reads the table
+# below t = 4096 and factors 2x above it, against the chain and the exact route
 # ---------------------------------------------------------------------------
 
 ROUTE_FAMILIES = (["main"] + [f"quad:{k}" for k in range(1, 7)]
@@ -351,18 +351,19 @@ def test_factor_route_matches_chain_and_exact(family_text, n, n_exact):
 
 
 def factor_route_term(family, n):
-    """The record of term n with the partner from the factor route, at any t >= 2."""
-    x, t, c, e = families._definition(family, n)
-    return families._record(family, n, x, families._factor_route(x, t, c, e))
+    """The record of term n with t! mod 2x from the factor route at any
+    t >= 1: ``factorial_mod``'s table limit is lowered to 1 for the call."""
+    with mock.patch.object(_backend, "_TABLE_LIMIT", 1):
+        return term(family, n)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(ROUTE_FAMILIES), st.integers(min_value=5, max_value=1999),
+@given(st.sampled_from(ROUTE_FAMILIES), st.integers(min_value=4, max_value=1999),
        st.integers(min_value=4090, max_value=4100))
 def test_factor_route_helper_matches_exact_and_chain(family_text, n_exact, t):
     # term() factors only at t >= 4096, so the factor route is compared here on
-    # its own: with the exact route at t >= 2 (n >= 5), and with the chain
-    # across the limit
+    # its own: with the exact route at t >= 1, and with the chain across the
+    # limit
     family = FamilySpec.parse(family_text)
     assert factor_route_term(family, n_exact) == term(family, n_exact, Strategy.EXACT_BIGINT)
     n = t + family.first_index - families._definition(family, family.first_index)[1]
@@ -373,57 +374,64 @@ def test_factor_route_helper_matches_exact_and_chain(family_text, n_exact, t):
 
 
 def factorial_calls(family, n, route=term):
-    """The record of route(family, n) and the (m, modulus) of each factorial_mod call."""
-    calls = []
-    real = _backend.factorial_mod
+    """The record of route(family, n), the (m, modulus) of each
+    ``factorial_mod`` call and of each stride run it makes."""
+    calls, strided = [], []
 
-    def spy(m, x):
-        calls.append((m, x))
-        return real(m, x)
+    def spy(log, real):
+        def call(m, x):
+            log.append((m, x))
+            return real(m, x)
+        return call
 
-    with mock.patch.object(_backend, "factorial_mod", spy):
+    with (mock.patch.object(_backend, "factorial_mod", spy(calls, _backend.factorial_mod)),
+          mock.patch.object(_backend, "_strided_factorial_mod",
+                            spy(strided, _backend._strided_factorial_mod))):
         rec = route(family, n)
-    return rec, calls
+    return rec, calls, strided
+
+
+def refuse(*args):
+    raise AssertionError("took a route it must not take")
 
 
 @pytest.mark.parametrize("text", ROUTE_FAMILIES)
 def test_term_reads_the_table_below_its_limit(text):
-    # 2 <= t < 4096: one factorial_mod(t, 2x) and no factoring
-    def refuse(*args):
-        raise AssertionError("factored x below the table's limit")
-
+    # 2 <= t < 4096: one factorial_mod(t, 2x), no factoring and no stride run
     family = FamilySpec.parse(text)
     shift = family.first_index - families._definition(family, family.first_index)[1]
     for t in (2, 63, 64, 1000, _backend._TABLE_LIMIT - 1):
         x = numerator(family, t + shift)
-        with mock.patch.object(families, "factor", refuse):
-            rec, calls = factorial_calls(family, t + shift)
-        assert calls == [(t, 2 * x)]
+        with mock.patch.object(primality, "factor", refuse):
+            rec, calls, strided = factorial_calls(family, t + shift)
+        assert (calls, strided) == ([(t, 2 * x)], [])
         assert rec == chain_term(family, t + shift)
 
 
 def test_factor_route_skips_t_below_two():
-    # t = n - 3 for main and t = n - 2 for linear: t is 0 or 1 here, and the
-    # identity with !t = t and t! = 1 needs no factoring, exact b or walk
-    def refuse(*args):
-        raise AssertionError("t < 2 took another route")
-
+    # t = n - 3 for main and t = n - 2 for linear: t is 0 or 1 here, and
+    # factorial_mod(t, 2x) = 1 is read from the table, with no factoring,
+    # stride run, exact b or walk
     cases = ((MAIN, 3), (MAIN, 4), (quadratic(5), 4), (linear(1), 3), (linear(6), 3))
     exact = [term(family, n, Strategy.EXACT_BIGINT) for family, n in cases]
-    with (mock.patch.object(families, "factor", refuse),
+    with (mock.patch.object(primality, "factor", refuse),
           mock.patch.object(families, "gcd_partner", refuse),
           mock.patch.object(_backend, "Factorials", refuse)):
-        fast = [term(family, n) for family, n in cases]
-    assert fast == exact == [chain_term(family, n) for family, n in cases]
+        runs = [factorial_calls(family, n) for family, n in cases]
+    assert [rec for rec, _, _ in runs] == exact == [chain_term(family, n) for family, n in cases]
+    assert [(calls, strided) for _, calls, strided in runs] == [
+        ([(families._definition(family, n)[1], 2 * numerator(family, n))], [])
+        for family, n in cases]
 
 
 def test_factor_route_wilson_branch():
     # a sparse mirror: x = 5 * 11 * 6491 * 358201, and t! mod 358201 comes from
     # k! with k = 358201 - 1 - 357600 = 600, not from 357600 factors
     n, t, p = 357_603, 357_600, 358_201
-    rec, calls = factorial_calls(MAIN, n)
+    rec, calls, strided = factorial_calls(MAIN, n)
     assert factor(rec.x) == {5: 1, 11: 1, 6491: 1, p: 1}
-    assert calls == [(p - 1 - t, p)]
+    assert calls == [(t, 2 * rec.x)]
+    assert strided == [(p - 1 - t, p)]
     assert rec == chain_term(MAIN, n)
     assert (rec.a, rec.classification) == (p, Classification.PRIME)
 
@@ -431,9 +439,9 @@ def test_factor_route_wilson_branch():
 def test_factor_route_forward_branch():
     # p > t and k = p - 1 - t >= t: t! mod p is run forward
     for n, p in ((5, 19), (991, 23929)):  # x = 19 and x = 41 * 23929
-        rec, calls = factorial_calls(MAIN, n, factor_route_term)
+        rec, _, strided = factorial_calls(MAIN, n, factor_route_term)
         assert max(factor(rec.x)) == p
-        assert calls == [(n - 3, p)]
+        assert strided == [(n - 3, p)]
         assert rec == chain_term(MAIN, n) == term(MAIN, n, Strategy.EXACT_BIGINT)
 
 
@@ -447,32 +455,31 @@ def test_factor_route_prime_power_branch():
             wanted = [(t, p**e) for p, e in factor(2 * x).items()
                       if e >= 2 and legendre(t, p) < e]
             if t >= 2 and wanted:
-                rec, calls = factorial_calls(family, n, factor_route_term)
-                assert set(wanted) <= set(calls), (text, n)
+                rec, _, strided = factorial_calls(family, n, factor_route_term)
+                assert set(wanted) <= set(strided), (text, n)
                 assert rec == chain_term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
                 found.append((text, n))
     assert found
 
 
 def test_factor_route_above_two_to_the_64_takes_one_factorial():
-    # x >= 2**64: y_mod_x = c*(t+2)*(t! mod 2x) mod 2x / 2, without factoring
-    def no_factoring(v):
-        raise AssertionError("factored x >= 2**64")
-
-    with mock.patch.object(families, "factor", no_factoring):
+    # the odd part of 2x >= 2**64: t! mod 2x by strides, without factoring,
+    # below the table's limit and above it
+    with mock.patch.object(primality, "factor", refuse):
         for family, n in ((linear(2**64), 4), (quadratic(2**63), 6),
-                          (quadratic(2**70 + 5), 40)):
+                          (quadratic(2**70 + 5), 40), (quadratic(2**70 + 5), 4100)):
             x, t, _, _ = families._definition(family, n)
             assert x >= 2**64
-            rec, calls = factorial_calls(family, n)
+            rec, calls, strided = factorial_calls(family, n)
             assert calls == [(t, 2 * x)]
-            assert rec == chain_term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
+            assert strided == ([(t, 2 * x)] if t >= _backend._TABLE_LIMIT else [])
+            assert rec == chain_term(family, n)
     family = linear((2**64 - 5) // 3)  # x = 3k + 4 just below 2**64, t = 2
     x = numerator(family, 4)
-    assert x < 2**64
-    with mock.patch.object(families, "factor", wraps=factor) as spy:
+    assert x < 2**64 and x % 2
+    with mock.patch.object(primality, "factor", wraps=factor) as spy:
         assert factor_route_term(family, 4) == term(family, 4, Strategy.EXACT_BIGINT)
-    spy.assert_called_once_with(x)
+    spy.assert_called_once_with(x)  # the odd part of 2x
 
 
 @pytest.mark.parametrize("text", ["main", *(f"quad:{k}" for k in range(1, 6)),
@@ -511,14 +518,16 @@ def test_scan_matches_exact_records(family_text, offset, width):
 
 
 def test_scan_walks_near_the_start_and_factors_far_out(fresh_columns):
-    def refuse(*args):
-        raise AssertionError("took the other route")
-
     # main's column is empty, so it ends at n = 2
     with mock.patch.object(_backend, "Factorials", refuse):
         assert len(list(scan(MAIN, 104, 203))) == 100  # n_from - 3 > n_to - n_from
-    with mock.patch.object(families, "factor", refuse):
+    with mock.patch.object(_backend, "factorial_mod", refuse):
         assert len(list(scan(MAIN, 103, 203))) == 101  # n_from - 3 = n_to - n_from
+    # far out, each term is one factorial_mod call, which factors 2x
+    with (mock.patch.object(_backend, "Factorials", refuse),
+          mock.patch.object(primality, "factor", wraps=factor) as spy):
+        recs = list(scan(MAIN, 357_602, 357_605))
+    assert [c.args[0] for c in spy.call_args_list] == [rec.x for rec in recs]  # x is odd
     with mock.patch.object(_backend, "b_mod_pair", wraps=_backend.b_mod_pair) as spy:
         list(scan(linear(3), 3, 6))
     assert [c.args[0] for c in spy.call_args_list] == [1, 2, 3, 4]  # linear t = n - 2
@@ -676,9 +685,6 @@ def test_main_and_quad_one_share_a_column(fresh_columns):
 
 
 def test_far_start_is_measured_from_the_columns_end(fresh_columns):
-    def refuse(*args):
-        raise AssertionError("took the other route")
-
     column = families._column(MAIN)
     assert len(list(scan(MAIN, 3, 203))) == 201
     assert column.high_water == 203
@@ -688,7 +694,7 @@ def test_far_start_is_measured_from_the_columns_end(fresh_columns):
         assert list(scan(MAIN, 305, 404)) == [term(MAIN, n) for n in range(305, 405)]
     assert column.high_water == 203
     with (mock.patch.object(_backend, "Factorials", refuse),
-          mock.patch.object(families, "factor", refuse)):
+          mock.patch.object(_backend, "factorial_mod", refuse)):
         # 304 - 204 = 404 - 304: the walk goes on from n = 204, never from t = 0
         assert len(list(scan(MAIN, 304, 404))) == 101
         assert len(list(scan(MAIN, 3, 404))) == 402  # all read from the column

@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcdseq import _backend
+from gcdseq import _backend, primality
 from gcdseq.families import gcd_via_factorial
 from gcdseq.recurrences import b
 
@@ -33,18 +34,33 @@ def test_second_order_chain_every_tail(t, x):
     assert second_order_chain(t, x) == (b(t - 1) % x, b(t) % x)
 
 
+# 2**64 - 59 is prime; 2**64 + 1 = 274177 * 67280421310721 is odd
+BELOW_2_64, ABOVE_2_64 = 2**64 - 59, 2**64 + 1
+# the first six primes above 4096: their product is odd and above 2**64
+SIX_PRIMES = 4099 * 4111 * 4127 * 4129 * 4133 * 4139
+
+
 def test_pure_python_factorial_mod():
-    # m! starts from the stored (64*j)!, j <= 63, then takes strides of 64
-    # factors: m on both sides of the table's stride boundaries, of its end
-    # at 4096 and of the strides beyond it (4097..4160, 4161..4224), and
-    # far out. 4099*4111 first divides m! at m = 4111, inside stride
-    # 4097..4160, and no stride runs once the residue is 0 (m = 4300)
-    for x in (1, 2, 55, 97, 10**12 + 39, 2**70 + 3, 4099 * 4111):
+    # m on both sides of the table's stride boundaries, of its end at 4096 and
+    # of the strides beyond it (4097..4160, 4161..4224), and far out; x with
+    # its odd part just below and just above 2**64 (the factor route's bound),
+    # p^e with v_p(m!) < e (4099**2, 2**5000), primes just above m (4099,
+    # 4111, 10007) and x whose odd part is above 2**64, so past 4096 strides run
+    for x in (1, 2, 55, 97, 10**12 + 39, 2**70 + 3, 4099 * 4111, 2**5 * BELOW_2_64,
+              2**5 * ABOVE_2_64, ABOVE_2_64, 4099**2, 3 * 2**5000, 10007, SIX_PRIMES):
         for m in (*range(14), 25, 63, 64, 65, 127, 128, 4095, 4096, 4097,
                   4110, 4111, 4159, 4160, 4161, 4300, 10_000):
             assert _backend.factorial_mod(m, x) == math.factorial(m) % x, (m, x)
+    # 4099*4111 first divides m! at m = 4111, by the factor route; the six
+    # primes at m = 4139, inside stride 4097..4160, and no stride runs once
+    # the residue is 0 (m = 4300)
     assert _backend.factorial_mod(4110, 4099 * 4111) != 0
     assert _backend.factorial_mod(4111, 4099 * 4111) == 0
+    assert _backend.factorial_mod(4138, SIX_PRIMES) != 0
+    assert _backend.factorial_mod(4139, SIX_PRIMES) == 0
+    with mock.patch.object(math, "perm", wraps=math.perm) as perm:
+        assert _backend._strided_factorial_mod(4300, SIX_PRIMES) == 0
+    assert perm.call_count == 2  # from the stored (4032)!: 4033..4096, 4097..4160
     # only (64*j)! for j < 64 is stored, however large m grows
     assert _backend._stride_factorial.cache_info().currsize <= 4096 // 64
 
@@ -52,6 +68,97 @@ def test_pure_python_factorial_mod():
 def test_factorial_mod_early_zero():
     # 10! is divisible by 256
     assert _backend.factorial_mod(10, 256) == 0
+
+
+def odd_part(x):
+    return x >> (x & -x).bit_length() - 1
+
+
+def routed(m, x):
+    """factorial_mod(m, x), the arguments of each ``primality.factor`` call it
+    makes, and the (m, modulus) of each stride run."""
+    with (mock.patch.object(primality, "factor", wraps=primality.factor) as fac,
+          mock.patch.object(_backend, "_strided_factorial_mod",
+                            wraps=_backend._strided_factorial_mod) as runs):
+        r = _backend.factorial_mod(m, x)
+    return r, [c.args[0] for c in fac.call_args_list], [c.args for c in runs.call_args_list]
+
+
+ROUTE_MODULI = {"1": 1, "2": 2, "97": 97, "2^70": 2**70, "3*2^70": 3 * 2**70,
+                "2^5*below": 2**5 * BELOW_2_64, "below": BELOW_2_64,
+                "2^5*above": 2**5 * ABOVE_2_64, "above": ABOVE_2_64, "six-primes": SIX_PRIMES}
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4095, 4096, 5000])
+@pytest.mark.parametrize("name", ROUTE_MODULI)
+def test_factorial_mod_takes_one_route_per_input(m, name):
+    # below 4096: the table, with no factoring and no stride run; from 4096:
+    # the factor route while the odd part of x is below 2**64, strides else
+    x = ROUTE_MODULI[name]
+    r, factored, runs = routed(m, x)
+    assert r == math.factorial(m) % x
+    odd = odd_part(x)
+    if m < _backend._TABLE_LIMIT:
+        assert (factored, runs) == ([], [])
+    elif odd < 2**64:
+        assert factored == [odd]
+        s = (x // odd).bit_length() - 1
+        prime_powers = {q for p, e in {**primality.factor(odd), 2: s}.items() for q in (p, p**e)}
+        assert all(q in prime_powers and x % q == 0 for _, q in runs)
+    else:
+        assert (factored, runs) == ([], [(m, x)])
+
+
+def test_factor_route_branches():
+    # Wilson: p = 358201 > m = 357600 with k = p - 1 - m = 600 < m reads 600!
+    # mod p, not 357600 factors (a sparse mirror: main's 2x at n = 357603)
+    x = 2 * 5 * 11 * 6491 * 358_201
+    r, factored, runs = routed(357_600, x)
+    assert (factored, runs) == ([x // 2], [(600, 358_201)])
+    assert r == _backend._strided_factorial_mod(357_600, x)
+    # forward: p = 10007 > m with k >= m runs m! mod p; 2 and 3 give 0
+    r, _, runs = routed(4100, 6 * 10007)
+    assert (r, runs) == (math.factorial(4100) % (6 * 10007), [(4100, 10007)])
+    # prime powers with v_p(m!) < e, forward: v_4099(4100!) = 1 < 2 and
+    # v_2(4100!) = 4097 < 5000
+    for x, q in ((5 * 4099**2, 4099**2), (7 * 2**5000, 2**5000)):
+        r, _, runs = routed(4100, x)
+        assert (r, runs) == (math.factorial(4100) % x, [(4100, q)])
+    # Legendre: every p^e has v_p(m!) >= e, so m! = 0 with no run
+    assert routed(4100, 2**10 * 3**5 * 4093)[::2] == (0, [])
+    # m < 2: 0! = 1! = 1 from the table, whatever x
+    for x in (1, 2, 3, 2 * BELOW_2_64, 2**70 + 3):
+        assert [routed(m, x) for m in (0, 1)] == [(1 % x, [], [])] * 2
+
+
+XS = st.one_of(
+    st.integers(min_value=1, max_value=2**70),
+    # 2**s times an odd part on either side of 2**64
+    st.builds(lambda s, odd: odd << s, st.integers(min_value=0, max_value=80),
+              st.integers(min_value=0, max_value=2**65).map(lambda v: 2 * v + 1)),
+    # primes and prime powers near m
+    st.builds(pow, st.sampled_from([2, 3, 4093, 4099, 4111, 8191, 10007, 16411]),
+              st.integers(min_value=1, max_value=3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=4096, max_value=8000), XS)
+@example(4096, 1)
+@example(357_600 // 64, 2 * 4093)
+@example(8000, 16411 * 8191**2 * 2**70)
+def test_factorial_mod_past_the_table_matches_math(m, x):
+    assert _backend.factorial_mod(m, x) == math.factorial(m) % x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=700), XS)
+@example(1, 2)
+@example(2, 38)  # main's 2x at n = 5: 19 is run forward
+def test_factor_route_at_any_m_matches_math(m, x):
+    # the table's limit lowered to 1, so the factor route serves every m >= 1
+    with mock.patch.object(_backend, "_TABLE_LIMIT", 1):
+        assert _backend.factorial_mod(m, x) == math.factorial(m) % x
 
 
 def _above(t):
