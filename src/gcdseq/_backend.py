@@ -30,12 +30,15 @@ callers are single terms (``families``), which read t! mod 2x, and
   63 factors or fewer;
 * factor route, m >= 4096 while the odd part of x is below 2**64: m! mod p^e
   for each prime power p^e exactly dividing x, joined by the Chinese
-  remainder theorem. A p^e with Legendre's v_p(m!) >= e gives 0; a prime
-  p > m with k = p-1-m < m gives (-1)^(k+1)/k! mod p by Wilson's theorem
-  ((p-1)! = -1 and (m+1)...(p-1) = (-1)^k * k! mod p); any other runs m!
-  mod p^e forward. The odd part is split by ``primality.factor``, which is
+  remainder theorem. A p^e <= m gives 0, since then Legendre's formula
+  gives v_p(m!) >= m // p >= p^(e-1) >= e; a prime p > m with k = p-1-m < m
+  gives (-1)^(k+1)/k! mod p by Wilson's theorem ((p-1)! = -1 and
+  (m+1)...(p-1) = (-1)^k * k! mod p), so min(m, k) factors are multiplied;
+  any other p^e runs m! mod p^e forward, which ends at 0 by itself when
+  v_p(m!) >= e. The odd part is split by ``primality.factor``, which is
   exact only below 2**64, where its Miller-Rabin base set is deterministic;
-  the power of 2 needs no factoring;
+  the power of 2 needs no factoring. Far out this beats strides: a mirror
+  lookup at m = 357,600 multiplies 600 factors, not 357,600;
 * strides, any other (m, x): the largest stored (64*j)!, j < 64, reduced
   mod x, then the remaining factors 64 at a time, one product and one
   ``%`` per stride, since multiplying small factors together costs less
@@ -119,7 +122,8 @@ def partner_from_factorial(t, x, c, f):
     (x*[t = 1] + c*(t+2)*f) mod 2x is 2*(partner mod x), and halving it is
     exact; e drops out. Every modular route to a partner residue ends here.
     """
-    return (x * (t == 1) + c * (t + 2) * f) % (2 * x) // 2
+    m = 2 * x
+    return (x * (t == 1) + c * (t + 2) * f) % m // 2
 
 
 def b_mod_pair(t, x, walk, c):
@@ -158,15 +162,15 @@ def factorial_mod(m, x):
         return _strided_factorial_mod(m, x)
     f = 0
     for p, e in {**factor(x >> s), 2: s}.items():
-        v, q = 0, m  # Legendre's v_p(m!), counted up to e
-        while q and v < e:
-            q //= p
-            v += q
-        if v < e:  # else m! = 0 mod p^e
-            pe, k, rest = p**e, p - 1 - m, x // p**e
-            r = (pow((-1) ** (k + 1) * _strided_factorial_mod(k, p), -1, p)  # Wilson
-                 if e == 1 and k < m else _strided_factorial_mod(m, pe))  # or forward
-            f += r * rest * pow(rest, -1, pe)
+        pe, k = p**e, p - 1 - m
+        if pe <= m:  # v_p(m!) >= m // p >= p**(e-1) >= e, so m! = 0 mod p^e
+            continue
+        if e == 1 and k < m:  # Wilson, as p > m: m! = (-1)^(k+1) / k! mod p
+            r = pow((-1) ** (k + 1) * _strided_factorial_mod(k, p), -1, p)
+        else:  # forward, which ends at 0 if v_p(m!) >= e after all
+            r = _strided_factorial_mod(m, pe)
+        rest = x // pe
+        f += r * rest * pow(rest, -1, pe)
     return f % x
 
 

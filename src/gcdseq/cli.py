@@ -129,13 +129,12 @@ def _read_cache_line(line, key, n_from, n_to):
     except json.JSONDecodeError:
         return None
     except ValueError:  # an integer past the digit limit
-        try:
+        with contextlib.suppress(ValueError, TypeError, KeyError):
             rec = json.loads(line, parse_int=str)
-            other = line.isascii() and type(rec["family"]) is str and (
-                rec["family"] != key or not n_from <= int(rec["n"]) <= n_to)
-        except (ValueError, TypeError, KeyError):
-            return None
-        return line.rstrip("\n") if other else None
+            if line.isascii() and type(rec["family"]) is str and (
+                    rec["family"] != key or not n_from <= int(rec["n"]) <= n_to):
+                return line.rstrip("\n")
+        return None
     if (not isinstance(rec, dict) or rec.keys() != _CACHE_FIELDS
             or not isinstance(rec["family"], str)
             or type(rec["n"]) is not int or type(rec["x"]) is not int

@@ -276,7 +276,8 @@ def _term(family: FamilySpec, n: int, strategy: Strategy) -> TermRecord:
     """The record of term n, with the partner mod x by ``strategy``."""
     if family.kind is Kind.ROWLAND:
         _check_index(family, n)
-        return _record(family, n, rowland_diff(n), 0, 1)
+        diff = rowland_diff(n)
+        return _record(family, n, diff, 0, 1)
     x, t, c, e = _definition(family, n)
     if strategy is Strategy.EXACT_BIGINT:
         y_mod_x = gcd_partner(family, n) % x

@@ -124,8 +124,12 @@ def test_factor_route_branches():
     for x, q in ((5 * 4099**2, 4099**2), (7 * 2**5000, 2**5000)):
         r, _, runs = routed(4100, x)
         assert (r, runs) == (math.factorial(4100) % x, [(4100, q)])
-    # Legendre: every p^e has v_p(m!) >= e, so m! = 0 with no run
+    # p^e <= m: v_p(m!) >= e by Legendre's formula, so m! = 0 with no run
     assert routed(4100, 2**10 * 3**5 * 4093)[::2] == (0, [])
+    # p <= m < p^e with v_p(m!) >= e all the same (v_71(4100!) = 57 and
+    # v_2(4100!) = 4097): the forward run ends at 0
+    assert routed(4100, 71**3)[::2] == (0, [(4100, 71**3)])
+    assert routed(4100, 5 * 2**4000)[::2] == (0, [(4100, 2**4000)])
     # m < 2: 0! = 1! = 1 from the table, whatever x
     for x in (1, 2, 3, 2 * BELOW_2_64, 2**70 + 3):
         assert [routed(m, x) for m in (0, 1)] == [(1 % x, [], [])] * 2
