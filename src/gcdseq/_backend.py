@@ -155,13 +155,13 @@ def factorial_mod(m, x):
         if r and m > _STRIDE * j:
             r = r * math.perm(m, m - _STRIDE * j) % x
         return r
-    from .primality import _U64, factor  # loaded here, so start-up skips primality
+    from . import primality  # loaded here, so start-up skips it
 
     s = (x & -x).bit_length() - 1  # x = 2**s * odd
-    if x >> s >= _U64:  # factor() is exact below 2**64 only
+    if x >> s >= primality._U64:  # factor() is exact below 2**64 only
         return _strided_factorial_mod(m, x)
     f = 0
-    for p, e in {**factor(x >> s), 2: s}.items():
+    for p, e in {**primality.factor(x >> s), 2: s}.items():
         pe, k = p**e, p - 1 - m
         if pe <= m:  # v_p(m!) >= m // p >= p**(e-1) >= e, so m! = 0 mod p^e
             continue

@@ -352,8 +352,9 @@ def _partner_residues(family: FamilySpec, n_from: int, n_to: int):
     Both routes compute y mod x from t! mod 2x through the partner identity
     (module docstring). A range that starts farther past the column's end
     than it is long takes the single-term route per term, lazily (t! mod 2x
-    from ``_backend.factorial_mod``), and leaves the column as it is. Any other range extends the column to n_to, walking t! mod 2x
-    with ``Factorials``, and reads a slice of it.
+    from ``_backend.factorial_mod``), and leaves the column as it is. Any
+    other range extends the column to n_to, walking t! mod 2x with
+    ``Factorials``, and reads a slice of it.
     """
     column = _column(family)
     if n_from - column.high_water - 1 > n_to - n_from:
@@ -446,7 +447,8 @@ def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
 
     Per term, the exact residue ``gcd_partner % x`` and the single-term
     route's ``_partner_residue`` (one ``_backend.factorial_mod`` call) are
-    compared with the residue a scan reads from the family's column. This is the record-for-record check: on every
+    compared with the residue a scan reads from the family's column. This
+    is the record-for-record check: on every
     route x comes from ``_form``, and d, a and the class are functions of
     (x, y_mod_x) through ``_record``, so two records are equal exactly
     when their residues are.
