@@ -25,9 +25,9 @@ callers are single terms (``families``), which read t! mod 2x, and
 ``gcd_via_factorial``, which reads (n-1)! mod x. The route is chosen by
 (m, x) alone, never by the caller:
 
-* table, m < ``_TABLE_LIMIT`` (4096): the stored exact (64*j)!, j = m // 64,
-  reduced with one bigint ``%``, and at most one product of the remaining
-  63 factors or fewer;
+* table, m < ``_TABLE_LIMIT`` (4096): the stride routine, which here is
+  the stored exact (64*j)!, j = m // 64, reduced with one bigint ``%``, and
+  at most one product of the remaining 63 factors or fewer;
 * factor route, m >= 4096 while the odd part of x is below 2**64: m! mod p^e
   for each prime power p^e exactly dividing x, joined by the Chinese
   remainder theorem. A p^e <= m gives 0, since then Legendre's formula
@@ -69,8 +69,7 @@ class Factorials:
     The exact t! is kept at t = 64j only. The first request in block j
     advances it there (one ``math.perm`` for all the blocks passed), reduces
     it mod M, the product of the moduli of the block's t from the one asked
-    for to the block's end 64j + 63, multiplies in the factors up to that t
-    in one more product, and steps F = F*(t+1) mod M through the rest of the
+    for to the block's end 64j + 63, and steps F = F*(t+1) mod M through the
     block, keeping F mod each modulus; later requests in the block are list
     lookups, so each block is listed once. Asking for a smaller t than the
     last one, or any modulus but ``modulus(t)``, is an error, so a residue
@@ -105,7 +104,9 @@ class Factorials:
         ts = range(lo, _STRIDE * (j + 1))
         moduli = [self._modulus(t) for t in ts]
         big = math.prod(moduli)
-        f = self._fact % big * math.perm(lo, lo - _STRIDE * j) % big  # lo! mod big
+        f = self._fact % big
+        for t in range(_STRIDE * j, lo):
+            f = f * (t + 1) % big
         listed = []
         for t, m in zip(ts, moduli):
             listed.append(f % m)
@@ -150,11 +151,7 @@ def factorial_mod(m, x):
     """Return ``m! mod x`` for m >= 0, x >= 1, by the route (m, x) selects:
     the table, the factor route or strides (module docstring)."""
     if m < _TABLE_LIMIT:  # the table and at most one stride
-        j = m // _STRIDE
-        r = _stride_factorial(j) % x
-        if r and m > _STRIDE * j:
-            r = r * math.perm(m, m - _STRIDE * j) % x
-        return r
+        return _strided_factorial_mod(m, x)
     from . import primality  # loaded here, so start-up skips it
 
     s = (x & -x).bit_length() - 1  # x = 2**s * odd

@@ -397,21 +397,22 @@ def refuse(*args):
 
 @pytest.mark.parametrize("text", ROUTE_FAMILIES)
 def test_term_reads_the_table_below_its_limit(text):
-    # 2 <= t < 4096: one factorial_mod(t, 2x), no factoring and no stride run
+    # 2 <= t < 4096: one factorial_mod(t, 2x), which reads the table in one
+    # stride run (t, 2x), and no factoring
     family = FamilySpec.parse(text)
     shift = family.first_index - families._definition(family, family.first_index)[1]
     for t in (2, 63, 64, 1000, _backend._TABLE_LIMIT - 1):
         x = numerator(family, t + shift)
         with mock.patch.object(primality, "factor", refuse):
             rec, calls, strided = factorial_calls(family, t + shift)
-        assert (calls, strided) == ([(t, 2 * x)], [])
+        assert calls == strided == [(t, 2 * x)]
         assert rec == chain_term(family, t + shift)
 
 
 def test_factor_route_skips_t_below_two():
     # t = n - 3 for main and t = n - 2 for linear: t is 0 or 1 here, and
     # factorial_mod(t, 2x) = 1 is read from the table, with no factoring,
-    # stride run, exact b or walk
+    # exact b or walk
     cases = ((MAIN, 3), (MAIN, 4), (quadratic(5), 4), (linear(1), 3), (linear(6), 3))
     exact = [term(family, n, Strategy.EXACT_BIGINT) for family, n in cases]
     with (mock.patch.object(primality, "factor", refuse),
@@ -419,9 +420,8 @@ def test_factor_route_skips_t_below_two():
           mock.patch.object(_backend, "Factorials", refuse)):
         runs = [factorial_calls(family, n) for family, n in cases]
     assert [rec for rec, _, _ in runs] == exact == [chain_term(family, n) for family, n in cases]
-    assert [(calls, strided) for _, calls, strided in runs] == [
-        ([(families._definition(family, n)[1], 2 * numerator(family, n))], [])
-        for family, n in cases]
+    for (_, calls, strided), (family, n) in zip(runs, cases):
+        assert calls == strided == [(families._definition(family, n)[1], 2 * numerator(family, n))]
 
 
 def test_factor_route_wilson_branch():
@@ -463,17 +463,16 @@ def test_factor_route_prime_power_branch():
 
 
 def test_factor_route_above_two_to_the_64_takes_one_factorial():
-    # the odd part of 2x >= 2**64: t! mod 2x by strides, without factoring,
-    # below the table's limit and above it
+    # the odd part of 2x >= 2**64: t! mod 2x in one stride run, without
+    # factoring, below the table's limit and above it
     with mock.patch.object(primality, "factor", refuse):
         for family, n in ((linear(2**64), 4), (quadratic(2**63), 6),
                           (quadratic(2**70 + 5), 40), (quadratic(2**70 + 5), 4100)):
             x, t, _, _ = families._definition(family, n)
             assert x >= 2**64
             rec, calls, strided = factorial_calls(family, n)
-            assert calls == [(t, 2 * x)]
-            assert strided == ([(t, 2 * x)] if t >= _backend._TABLE_LIMIT else [])
-            assert rec == chain_term(family, n)
+            assert calls == strided == [(t, 2 * x)]
+            assert rec == chain_term(family, n) == term(family, n, Strategy.EXACT_BIGINT)
     family = linear((2**64 - 5) // 3)  # x = 3k + 4 just below 2**64, t = 2
     x = numerator(family, 4)
     assert x < 2**64 and x % 2

@@ -92,21 +92,20 @@ ROUTE_MODULI = {"1": 1, "2": 2, "97": 97, "2^70": 2**70, "3*2^70": 3 * 2**70,
 @pytest.mark.parametrize("m", [0, 1, 2, 4095, 4096, 5000])
 @pytest.mark.parametrize("name", ROUTE_MODULI)
 def test_factorial_mod_takes_one_route_per_input(m, name):
-    # below 4096: the table, with no factoring and no stride run; from 4096:
-    # the factor route while the odd part of x is below 2**64, strides else
+    # below 4096: the table, one stride run (m, x) and no factoring; from
+    # 4096: the factor route while the odd part of x is below 2**64, strides
+    # else
     x = ROUTE_MODULI[name]
     r, factored, runs = routed(m, x)
     assert r == math.factorial(m) % x
     odd = odd_part(x)
-    if m < _backend._TABLE_LIMIT:
-        assert (factored, runs) == ([], [])
-    elif odd < 2**64:
+    if m < _backend._TABLE_LIMIT or odd >= 2**64:
+        assert (factored, runs) == ([], [(m, x)])
+    else:
         assert factored == [odd]
         s = (x // odd).bit_length() - 1
         prime_powers = {q for p, e in {**primality.factor(odd), 2: s}.items() for q in (p, p**e)}
         assert all(q in prime_powers and x % q == 0 for _, q in runs)
-    else:
-        assert (factored, runs) == ([], [(m, x)])
 
 
 def test_factor_route_branches():
@@ -132,7 +131,7 @@ def test_factor_route_branches():
     assert routed(4100, 5 * 2**4000)[::2] == (0, [(4100, 2**4000)])
     # m < 2: 0! = 1! = 1 from the table, whatever x
     for x in (1, 2, 3, 2 * BELOW_2_64, 2**70 + 3):
-        assert [routed(m, x) for m in (0, 1)] == [(1 % x, [], [])] * 2
+        assert [routed(m, x) for m in (0, 1)] == [(1 % x, [], [(m, x)]) for m in (0, 1)]
 
 
 XS = st.one_of(
