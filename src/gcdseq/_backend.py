@@ -96,17 +96,16 @@ class Factorials:
 
     def _fill(self, lo):
         """Advance the exact t! to the start of lo's block, (64j)!/(64*_start)!
-        in one product, and list the residues of the block's t from lo to its
-        end, stepped mod the product of their moduli."""
+        in one product, reach lo! mod the product of the moduli of the block's
+        t from lo to its end with one more, and list their residues, stepped
+        mod that product."""
         j = lo // _STRIDE
         self._fact *= math.perm(_STRIDE * j, _STRIDE * (j - self._start))
         self._start = j
         ts = range(lo, _STRIDE * (j + 1))
         moduli = [self._modulus(t) for t in ts]
         big = math.prod(moduli)
-        f = self._fact % big
-        for t in range(_STRIDE * j, lo):
-            f = f * (t + 1) % big
+        f = self._fact % big * math.perm(lo, lo - _STRIDE * j) % big
         listed = []
         for t, m in zip(ts, moduli):
             listed.append(f % m)

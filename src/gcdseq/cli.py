@@ -119,10 +119,11 @@ _CACHE_FIELDS = {"family", "n", "x", "y_mod_x", "d", "a", "class"}
 def _read_cache_line(line, key, n_from, n_to):
     """The term dict a cache line holds, or None if the line is malformed.
 
-    A line with an integer past the digit limit is malformed unless it is an
-    ASCII entry of another family than ``key``, or of an n outside
-    n_from..n_to, read with its integers left as text; then it is returned
-    as it stands, to be kept byte for byte.
+    A line with an integer past the digit limit in force (the larger of
+    Python's and the run's own, set by ``_cached_records``) is malformed
+    unless it is an ASCII entry of another family than ``key``, or of an n
+    outside n_from..n_to, read with its integers left as text; then it is
+    returned as it stands, to be kept byte for byte.
     """
     try:
         rec = json.loads(line)
@@ -150,9 +151,11 @@ def _cached_records(family, n_from, n_to, cache_path):
     Every term comes from one ``scan`` of the range. A cached entry equal to
     the scanned record is kept as read; any other entry for the range, and
     any malformed line, gets one warning on stderr and is dropped. Integers
-    are read up to the digits of the run's largest term; a line past that
-    limit is malformed unless it is another family's entry or one for an n
-    outside the range, which is kept byte for byte. A run that adds a term
+    are read up to the larger of Python's digit limit
+    (``sys.get_int_max_str_digits()``, 4300 by default) and the digits of the
+    run's largest term; a line past that is malformed unless it is another
+    family's entry or one for an n outside the range, which is kept byte for
+    byte. A run that adds a term
     or drops a line rewrites the whole file (valid entries in file order,
     then fresh ones) through a temporary file and ``os.replace``; a run
     served wholly from a clean cache writes nothing.
@@ -163,8 +166,8 @@ def _cached_records(family, n_from, n_to, cache_path):
     cached = {}
     dropped = False
     if cache_path and os.path.exists(cache_path):
-        # a line may hold as many digits as the run's largest term: x at n_to,
-        # or a Rowland difference, at most n_to + 1
+        # a line may hold as many digits as the run's largest term (x at n_to,
+        # or a Rowland difference, at most n_to + 1) or Python's limit, if more
         largest = (n_to + 1 if family.kind is families.Kind.ROWLAND
                    else families.numerator(family, n_to))
         with _exact_text():
@@ -502,11 +505,16 @@ def _agreement(entries, family, offset):
 
 
 def _fit_offset(entries, family):
-    """Offset maximizing the agreement prefix (ties: smallest offset)."""
+    """Offset maximizing the agreement prefix (ties: smallest offset).
+
+    The candidates put one of the file's first 8 indices at one of the
+    family's first 8, and 0 (index = n, as ``gen`` writes by default) fits
+    a b-file that starts far out.
+    """
     first = family.first_index
     probe = min(8, len(entries))
     candidates = sorted(
-        {entries[i][0] - (first + j) for i in range(probe) for j in range(probe)}
+        {0, *(entries[i][0] - (first + j) for i in range(probe) for j in range(probe))}
     )
     window = entries[:64]
 

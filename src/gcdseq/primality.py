@@ -2,9 +2,10 @@
 
 Three regimes:
 
-* v < 10**6: trial division by every prime below 1000, as one gcd with
-  their product (exact below 1009**2), cross-checked in-function against
-  the Miller-Rabin path (the two must agree; a mismatch raises).
+* v < 10**6: trial division alone, by every prime below 1000, as one gcd
+  with their product (exact below 1009**2). Its agreement with a sieve, and
+  with the Miller-Rabin path, is shown by exhaustive tests over every such
+  v, not checked again at run time.
 * v < 2**64: Miller-Rabin over the first k prime bases, with k the least
   for which v is below psi_k, the least strong pseudoprime to all of them.
   Every odd composite below psi_k fails one of those k bases, so the test
@@ -213,10 +214,7 @@ def is_prime(v: int) -> PrimalityVerdict:
     if v == 1:
         return tuple.__new__(PrimalityVerdict, (1, Verdict.ONE, Method.TRIAL_DIVISION))
     if v < _TRIAL_LIMIT:
-        by_trial = _trial_division(v)
-        if by_trial != _mr_is_prime(v):
-            raise RuntimeError(f"primality cross-check mismatch at {v}")
-        verdict = Verdict.PRIME if by_trial else Verdict.COMPOSITE
+        verdict = Verdict.PRIME if _trial_division(v) else Verdict.COMPOSITE
         return tuple.__new__(PrimalityVerdict, (v, verdict, Method.TRIAL_DIVISION))
     if v < _U64:
         verdict = Verdict.PRIME if _mr_is_prime(v) else Verdict.COMPOSITE

@@ -574,7 +574,8 @@ def test_input_keeps_the_digit_limit(tmp_path, capsys):
 
 def test_cache_reads_back_terms_past_the_digit_limit(tmp_path, capsys):
     # x = 3(k+1) - k = 2k + 3 has 4301 digits at k = 5*10**4299 + 1: a cache
-    # line may hold as many digits as the run's own largest term
+    # line may hold as many digits as the run's own largest term when that is
+    # past Python's limit
     family = f"linear:{5 * 10**4299 + 1}"
     cache = tmp_path / "cache.jsonl"
     args = ("gen", "--family", family, "--from", "3", "--to", "3", "--format", "jsonl",
@@ -588,11 +589,30 @@ def test_cache_reads_back_terms_past_the_digit_limit(tmp_path, capsys):
     assert cache.read_bytes() == written
 
 
+def test_cache_reads_up_to_the_interpreter_digit_limit(tmp_path, capsys):
+    # main's terms at n <= 5 are short, so the run reads integers up to
+    # Python's own limit: an entry at the limit is read and found wrong, one
+    # digit more is a malformed line
+    limit = sys.get_int_max_str_digits()
+    assert limit == 4300
+    for digits, warning in ((limit, "invalid cache entry for main n=4; recomputed"),
+                            (limit + 1, "malformed cache line 1; ignored")):
+        cache = tmp_path / f"cache{digits}.jsonl"
+        cache.write_text('{"family": "main", "n": 4, "x": %s, "y_mod_x": 1, "d": 1, '
+                         '"a": 11, "class": "prime"}\n' % ("9" * digits))
+        code, out, err = run(capsys, "gen", "--family", "main", "--from", "3",
+                             "--to", "5", "--cache", str(cache))
+        assert (code, out) == (0, "n,x,d,a,class\n3,5,1,5,prime\n4,11,1,11,prime\n"
+                                  "5,19,1,19,prime\n")
+        assert err == f"warning: {warning}\n"
+
+
 def test_cache_keeps_other_terms_past_the_digit_limit(tmp_path, capsys):
-    # a run reads integers up to the digits of its own largest term; a line
-    # past that limit which names another family, or an n outside the run's
-    # range, is kept byte for byte in file order, with no warning, while one
-    # for the run's own range, or one that is not JSON, warns and is dropped
+    # a run reads integers up to the larger of Python's limit and the digits
+    # of its own largest term; a line past that which names another family,
+    # or an n outside the run's range, is kept byte for byte in file order,
+    # with no warning, while one for the run's own range, or one that is not
+    # JSON, warns and is dropped
     big = "9" * 4400
     line = ('{"family": "%s", "n": %d, "x": ' + big + ', "y_mod_x": 1, "d": 1, "a": '
             + big + ', "class": "prime"}\n')
@@ -692,6 +712,20 @@ def test_oeis_check_auto_offset_tie_goes_to_the_smallest(tmp_path, capsys):
     report = json.loads(out)
     assert report["offset"] == -7
     assert report["compared"] == 1 and report["first_divergence"]["file_index"] == 3
+
+
+def test_oeis_check_auto_offset_fits_a_far_bfile(tmp_path, capsys):
+    # a b-file of quad:3 from n = 100,000, indexed as gen writes it (index = n)
+    bpath = tmp_path / "far.b"
+    code, _, _ = run(capsys, "gen", "--family", "quad:3", "--from", "100000",
+                     "--to", "100005", "--format", "bfile", "--out", str(bpath))
+    assert code == 0
+    code, out, _ = run(capsys, "oeis-check", "--bfile", str(bpath),
+                       "--family", "quad:3", "--offset", "auto")
+    assert code == 0
+    report = json.loads(out)
+    assert report["offset"] == 0
+    assert report["compared"] == 6 and report["first_divergence"] is None
 
 
 def test_oeis_check_skips_below_domain(tmp_path, capsys):

@@ -89,6 +89,20 @@ def test_trial_division_exhaustive():
     assert got == flags, _first_disagreement(got, flags)
 
 
+def test_trial_division_alone_decides_below_the_limit(monkeypatch):
+    # below _TRIAL_LIMIT one algorithm decides: Miller-Rabin is never run
+    import gcdseq.primality as primality
+
+    def refuse(v):
+        raise AssertionError(f"Miller-Rabin ran on {v}")
+
+    monkeypatch.setattr(primality, "_mr_is_prime", refuse)
+    want = {1: Verdict.ONE, 2: Verdict.PRIME, 9: Verdict.COMPOSITE, 1259: Verdict.PRIME,
+            999_983: Verdict.PRIME, 999_999: Verdict.COMPOSITE}
+    for v, verdict in want.items():
+        assert is_prime.__wrapped__(v) == (v, verdict, Method.TRIAL_DIVISION), v
+
+
 @pytest.mark.parametrize("psi, k", _MR64_BOUNDS)
 def test_each_psi_k_needs_the_next_base(psi, k):
     # psi_k is a strong pseudoprime to each of the first k prime bases, the
@@ -236,7 +250,7 @@ def test_matches_reference_on_pseudoprimes_bases_and_carmichaels():
 
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(st.integers(min_value=1, max_value=2**64 - 1),
-                 st.integers(min_value=1, max_value=10**6 - 1)))  # the cross-checked regime
+                 st.integers(min_value=1, max_value=10**6 - 1)))  # the trial-division regime
 def test_matches_reference_on_random_values(v):
     _assert_matches_reference(v)
 
