@@ -155,10 +155,10 @@ def _cached_records(family, n_from, n_to, cache_path):
     (``sys.get_int_max_str_digits()``, 4300 by default) and the digits of the
     run's largest term; a line past that is malformed unless it is another
     family's entry or one for an n outside the range, which is kept byte for
-    byte. A run that adds a term
-    or drops a line rewrites the whole file (valid entries in file order,
-    then fresh ones) through a temporary file and ``os.replace``; a run
-    served wholly from a clean cache writes nothing.
+    byte. A run that adds a term or drops a line rewrites the whole file
+    (valid entries in file order, then fresh ones) through a temporary file
+    and ``os.replace``; a run served wholly from a clean cache writes
+    nothing.
     """
     from . import families
 
@@ -507,9 +507,9 @@ def _agreement(entries, family, offset):
 def _fit_offset(entries, family):
     """Offset maximizing the agreement prefix (ties: smallest offset).
 
-    The candidates put one of the file's first 8 indices at one of the
-    family's first 8, and 0 (index = n, as ``gen`` writes by default) fits
-    a b-file that starts far out.
+    Candidates: each offset that puts one of the file's first 8 indices at
+    one of the family's first 8, and 0 (index = n, as ``gen`` writes by
+    default), which fits a b-file that starts far out.
     """
     first = family.first_index
     probe = min(8, len(entries))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcdseq import primality
 from gcdseq.errors import NonPositive
 from gcdseq.primality import (
     _MR64_BASES,
@@ -91,8 +92,6 @@ def test_trial_division_exhaustive():
 
 def test_trial_division_alone_decides_below_the_limit(monkeypatch):
     # below _TRIAL_LIMIT one algorithm decides: Miller-Rabin is never run
-    import gcdseq.primality as primality
-
     def refuse(v):
         raise AssertionError(f"Miller-Rabin ran on {v}")
 
