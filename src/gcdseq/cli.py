@@ -74,7 +74,7 @@ def _jsonable(obj):
     if fractions is not None and isinstance(obj, fractions.Fraction):
         return str(obj)
     if isinstance(obj, Enum):
-        return obj.value
+        return obj._value_
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -146,7 +146,9 @@ def _read_cache_line(line, key, n_from, n_to):
 
 
 def _cached_records(family, n_from, n_to, cache_path):
-    """Term dicts for the range, read from and written back to the cache.
+    """Term dicts for the range, read from and written back to the cache, and
+    beside them, position for position, the JSON text each was written as
+    (None for a term this run did not write).
 
     Every term comes from one ``scan`` of the range. A cached entry equal to
     the scanned record is kept as read; any other entry for the range, and
@@ -158,7 +160,8 @@ def _cached_records(family, n_from, n_to, cache_path):
     byte. A run that adds a term or drops a line rewrites the whole file
     (valid entries in file order, then fresh ones) through a temporary file
     and ``os.replace``; a run served wholly from a clean cache writes
-    nothing.
+    nothing. Each fresh term is serialized once, for the file, and that
+    text is returned for ``gen --format jsonl`` to print.
     """
     from . import families
 
@@ -186,7 +189,7 @@ def _cached_records(family, n_from, n_to, cache_path):
                 # another term's line past the digit limit is kept under its number
                 cached[lineno if type(rec) is str else (rec["family"], rec["n"])] = rec
     records = []
-    fresh = []
+    fresh = []  # the positions in records of the terms not found in the cache
     for scanned in families.scan(family, n_from, n_to):
         rec = scanned.as_dict()
         hit = cached.get((key, scanned.n))
@@ -197,14 +200,18 @@ def _cached_records(family, n_from, n_to, cache_path):
                 print(f"warning: invalid cache entry for {key} n={scanned.n}; recomputed",
                       file=sys.stderr)
                 del cached[(key, scanned.n)]
-            fresh.append(rec)
+            fresh.append(len(records))
         records.append(rec)
+    texts = [None] * len(records)
     if cache_path and (fresh or dropped):
         tmp = f"{cache_path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="ascii") as fh, _exact_text():
-                for rec in [*cached.values(), *fresh]:
+                for rec in cached.values():
                     fh.write((rec if type(rec) is str else json.dumps(rec)) + "\n")
+                for i in fresh:
+                    texts[i] = json.dumps(records[i])
+                    fh.write(texts[i] + "\n")
             os.replace(tmp, cache_path)
         except OSError as exc:
             # name the path the user gave, not the temporary file beside it
@@ -212,7 +219,7 @@ def _cached_records(family, n_from, n_to, cache_path):
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    return records
+    return records, texts
 
 
 def cmd_gen(args):
@@ -224,14 +231,16 @@ def cmd_gen(args):
 
     families._check_range(args.family, args.n_from, args.n_to)
     try:
-        records = _cached_records(args.family, args.n_from, args.n_to, args.cache)
+        records, texts = _cached_records(args.family, args.n_from, args.n_to, args.cache)
         with _exact_text():
             if args.format == "csv":
                 lines = ["n,x,d,a,class"]
                 lines += [f"{r['n']},{r['x']},{r['d']},{r['a']},{r['class']}" for r in records]
                 _emit("\n".join(lines) + "\n", args.out)
             elif args.format == "jsonl":
-                _emit("".join(json.dumps(r) + "\n" for r in records), args.out)
+                # a term this run wrote to the cache prints the text it was written as
+                lines = [json.dumps(r) if t is None else t for r, t in zip(records, texts)]
+                _emit("\n".join(lines) + "\n", args.out)
             else:  # bfile
                 entries = [(r["n"] + (args.offset or 0), r["a"]) for r in records]
                 _emit(format_bfile(entries), args.out)

@@ -103,10 +103,11 @@ def verify_primes_or_one(family: FamilySpec, count: int) -> PrimesOrOneReport:
     first = family.first_index
     ones = primes = probable = 0
     composites = []
+    one, prime = Classification.ONE, Classification.PRIME
     for rec in scan(family, first, first + count - 1):
-        if rec.classification is Classification.ONE:
+        if rec.classification is one:
             ones += 1
-        elif rec.classification is Classification.PRIME:
+        elif rec.classification is prime:
             primes += 1
             probable += rec.a >= _U64  # is_prime calls a prime probable exactly there
         else:
@@ -127,9 +128,10 @@ class OccurrenceIndex(NamedTuple):
     def of(cls, family: FamilySpec, n_max: int, records) -> "OccurrenceIndex":
         """Tally ``records``, the scan of ``family`` up to index ``n_max``."""
         ones = 0
+        one = Classification.ONE
         buckets: dict = {Classification.PRIME: {}, Classification.COMPOSITE: {}}
         for rec in records:
-            if rec.classification is Classification.ONE:
+            if rec.classification is one:
                 ones += 1
             else:
                 buckets[rec.classification].setdefault(rec.a, []).append(rec.n)
@@ -334,8 +336,9 @@ class CoverageReport(NamedTuple):
 
 def prime_coverage(n_max: int, bound: int) -> CoverageReport:
     seen = occurrence_index(MAIN, n_max).prime_occurrences
+    prime = Verdict.PRIME
     candidates = [p for p in range(11, bound + 1, 2)
-                  if p % 10 in (1, 9) and is_prime(p).verdict is Verdict.PRIME]
+                  if p % 10 in (1, 9) and is_prime(p).verdict is prime]
     missing = tuple(p for p in candidates if p not in seen)
     return CoverageReport(n_max, bound, len(candidates), len(candidates) - len(missing),
                           missing, 2 * n_max + 1)

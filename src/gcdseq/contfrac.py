@@ -103,11 +103,14 @@ class Scheme(Enum):
 
     def level(self, j: int) -> tuple[int, int]:
         """(p_j, c_j) of level j >= 1, from the outermost = 1."""
-        return (j + 2, j + 1) if self is Scheme.T1 else (j, j)
+        return (j + 2, j + 1) if self is _T1 else (j, j)
 
     def depth(self, n: int) -> int:
         """K, the number of levels of the fraction at n."""
-        return n - 2 if self is Scheme.T1 else n - 1
+        return n - 2 if self is _T1 else n - 1
+
+
+_T1 = Scheme.T1  # a bound name: on Python 3.11 ``Scheme.T1`` runs ``EnumType.__getattr__``
 
 
 class CFSpec(NamedTuple):

@@ -95,6 +95,13 @@ class Kind(Enum):
     __hash__ = object.__hash__  # identity, as Enum equality is: no Python-level hash per lookup
 
 
+# Per-record code reads Enum members from module names like this one and values
+# from ``_value_``: Python 3.11's ``EnumType`` defines ``__getattr__``, which
+# puts a Python-level hook in every ``Kind.ROWLAND``, and ``value`` is a
+# Python-level property (README, Library).
+_ROWLAND = Kind.ROWLAND
+
+
 class _FamilyFields(NamedTuple):
     kind: Kind
     k: int | None = None
@@ -115,12 +122,12 @@ class FamilySpec(_FamilyFields):
 
     @property
     def first_index(self) -> int:
-        return 1 if self.kind is Kind.ROWLAND else 3
+        return 1 if self.kind is _ROWLAND else 3
 
     def __str__(self):
         if self.k is not None:
-            return f"{self.kind.value}:{self.k}"
-        return self.kind.value
+            return f"{self.kind._value_}:{self.k}"
+        return self.kind._value_
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
@@ -159,11 +166,19 @@ class Strategy(Enum):
     EXACT_BIGINT = "exact"
     MODULAR_FAST = "modular"
 
+    __hash__ = object.__hash__
+
 
 class Classification(Enum):
     ONE = "one"
     PRIME = "prime"
     COMPOSITE = "composite"
+
+    __hash__ = object.__hash__
+
+
+_EXACT_BIGINT, _MODULAR_FAST = Strategy.EXACT_BIGINT, Strategy.MODULAR_FAST
+_ONE, _PRIME, _COMPOSITE = Classification.ONE, Classification.PRIME, Classification.COMPOSITE
 
 
 class TermRecord(NamedTuple):
@@ -185,7 +200,7 @@ class TermRecord(NamedTuple):
             "y_mod_x": self.y_mod_x,
             "d": self.d,
             "a": self.a,
-            "class": self.classification.value,
+            "class": self.classification._value_,
         }
 
 
@@ -257,10 +272,9 @@ def _record(family: FamilySpec, n: int, x: int, y_mod_x: int, d: int | None = No
         d = math.gcd(x, y_mod_x)
     a = x // d
     if a == 1:
-        cls = Classification.ONE
+        cls = _ONE
     else:
-        prime = is_prime(a).verdict in _PRIME_VERDICTS
-        cls = Classification.PRIME if prime else Classification.COMPOSITE
+        cls = _PRIME if is_prime(a).verdict in _PRIME_VERDICTS else _COMPOSITE
     return tuple.__new__(TermRecord, (family, n, x, y_mod_x, d, a, cls))
 
 
@@ -274,12 +288,12 @@ def _partner_residue(x: int, t: int, c: int, e: int) -> int:
 
 def _term(family: FamilySpec, n: int, strategy: Strategy) -> TermRecord:
     """The record of term n, with the partner mod x by ``strategy``."""
-    if family.kind is Kind.ROWLAND:
+    if family.kind is _ROWLAND:
         _check_index(family, n)
         diff = rowland_diff(n)
         return _record(family, n, diff, 0, 1)
     x, t, c, e = _definition(family, n)
-    if strategy is Strategy.EXACT_BIGINT:
+    if strategy is _EXACT_BIGINT:
         y_mod_x = gcd_partner(family, n) % x
     else:
         y_mod_x = _partner_residue(x, t, c, e)
@@ -372,9 +386,9 @@ def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
     docstring). A Rowland scan has no partner and reads no column.
     """
     _check_range(family, n_from, n_to)
-    if family.kind is Kind.ROWLAND:
+    if family.kind is _ROWLAND:
         for n in range(n_from, n_to + 1):
-            yield _term(family, n, Strategy.MODULAR_FAST)
+            yield _term(family, n, _MODULAR_FAST)
         return
     form = _form(family)
     for n, y_mod_x in zip(range(n_from, n_to + 1), _partner_residues(family, n_from, n_to)):

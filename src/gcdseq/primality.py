@@ -70,11 +70,20 @@ class Verdict(Enum):
     COMPOSITE = "composite"
     PROBABLE_PRIME = "probable_prime"
 
+    __hash__ = object.__hash__  # identity, as Enum equality is: no Python-level hash per lookup
+
 
 class Method(Enum):
     TRIAL_DIVISION = "trial_division"
     DETERMINISTIC_MR64 = "deterministic_mr64"
     STRONG_PROBABLE = "strong_probable"
+
+    __hash__ = object.__hash__
+
+
+# bound names: on Python 3.11 ``Verdict.PRIME`` runs ``EnumType.__getattr__``
+_PRIME, _COMPOSITE, _PROBABLE_PRIME = Verdict.PRIME, Verdict.COMPOSITE, Verdict.PROBABLE_PRIME
+_TRIAL_DIVISION, _DETERMINISTIC_MR64 = Method.TRIAL_DIVISION, Method.DETERMINISTIC_MR64
 
 
 class PrimalityVerdict(NamedTuple):
@@ -84,7 +93,7 @@ class PrimalityVerdict(NamedTuple):
 
     def __bool__(self):
         """Truthy iff prime or probable prime."""
-        return self.verdict in (Verdict.PRIME, Verdict.PROBABLE_PRIME)
+        return self.verdict in (_PRIME, _PROBABLE_PRIME)
 
 
 def _trial_division(v):
@@ -212,14 +221,14 @@ def is_prime(v: int) -> PrimalityVerdict:
     if v < 1:
         raise NonPositive(f"primality undefined for {v} < 1")
     if v == 1:
-        return tuple.__new__(PrimalityVerdict, (1, Verdict.ONE, Method.TRIAL_DIVISION))
+        return tuple.__new__(PrimalityVerdict, (1, Verdict.ONE, _TRIAL_DIVISION))
     if v < _TRIAL_LIMIT:
-        verdict = Verdict.PRIME if _trial_division(v) else Verdict.COMPOSITE
-        return tuple.__new__(PrimalityVerdict, (v, verdict, Method.TRIAL_DIVISION))
+        verdict = _PRIME if _trial_division(v) else _COMPOSITE
+        return tuple.__new__(PrimalityVerdict, (v, verdict, _TRIAL_DIVISION))
     if v < _U64:
-        verdict = Verdict.PRIME if _mr_is_prime(v) else Verdict.COMPOSITE
-        return tuple.__new__(PrimalityVerdict, (v, verdict, Method.DETERMINISTIC_MR64))
-    verdict = Verdict.PROBABLE_PRIME if _bpsw_is_probable_prime(v) else Verdict.COMPOSITE
+        verdict = _PRIME if _mr_is_prime(v) else _COMPOSITE
+        return tuple.__new__(PrimalityVerdict, (v, verdict, _DETERMINISTIC_MR64))
+    verdict = _PROBABLE_PRIME if _bpsw_is_probable_prime(v) else _COMPOSITE
     return tuple.__new__(PrimalityVerdict, (v, verdict, Method.STRONG_PROBABLE))
 
 

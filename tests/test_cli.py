@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,6 +215,72 @@ def test_gen_cache_rewrite_keeps_file_order_then_fresh_terms(tmp_path, capsys):
     assert err == "warning: malformed cache line 11; ignored\n"
     assert cache.read_text() == "".join(
         quad + jsonl("main", 10, 12) + jsonl("main", 3, 9) + jsonl("main", 13, 20))
+
+
+def _counting_json(monkeypatch):
+    """Route ``cli``'s json calls through counters; returns the counts."""
+    from gcdseq import cli
+
+    calls = {"dumps": 0, "loads": 0}
+    proxy = types.ModuleType("json")
+    proxy.__dict__.update(vars(json))
+
+    def counted(name):
+        fn = getattr(json, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    proxy.dumps, proxy.loads = counted("dumps"), counted("loads")
+    monkeypatch.setattr(cli, "json", proxy)
+    return calls
+
+
+def test_gen_jsonl_prints_the_text_it_wrote_to_the_cache(tmp_path, capsys, monkeypatch):
+    # a fresh term is serialized once, for the cache file, and that text is
+    # printed; a run served by the cache reads each line once and writes none
+    cache = tmp_path / "cache.jsonl"
+    argv = ("gen", "--family", "quad:4", "--from", "7", "--to", "46", "--format", "jsonl",
+            "--cache", str(cache))
+    calls = _counting_json(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == {"dumps": 40, "loads": 0}
+    assert out.splitlines() == cache.read_text().splitlines()
+    assert len(out.splitlines()) == 40
+    before = cache.stat()
+    calls.update(dumps=0, loads=0)
+    code, again, err = run(capsys, *argv)
+    assert (code, again, err) == (0, out, "")
+    assert calls == {"dumps": 40, "loads": 40}  # the dumps print the hits
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert cache.read_text() == out
+
+
+def test_gen_cache_keeps_a_valid_entry_as_read(tmp_path, capsys):
+    # an entry equal to the scanned record, re-spaced and with its keys in
+    # another order, warns of nothing, is not rewritten and prints in its
+    # own key order
+    cache = tmp_path / "cache.jsonl"
+    argv = ("gen", "--family", "main", "--from", "3", "--to", "9", "--format", "jsonl",
+            "--cache", str(cache))
+    run(capsys, *argv)
+    lines = cache.read_text().splitlines()
+    reordered = dict(reversed(json.loads(lines[2]).items()))
+    lines[2] = json.dumps(reordered, separators=(" ,", ":   "))
+    cache.write_text("\n".join(lines) + "\n")
+    written, before = cache.read_bytes(), cache.stat()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert cache.read_bytes() == written
+    assert cache.stat().st_mtime_ns == before.st_mtime_ns
+    printed = out.splitlines()
+    assert printed[2] == json.dumps(reordered)
+    assert list(json.loads(printed[2])) == ["class", "a", "d", "y_mod_x", "x", "n", "family"]
+    assert printed[:2] + printed[3:] == lines[:2] + lines[3:]
 
 
 # ---------------------------------------------------------------------------

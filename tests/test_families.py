@@ -57,6 +57,44 @@ def test_equal_specs_hash_equal():
     assert families._form(FamilySpec.parse("quad:3")) is families._form(quadratic(3))
 
 
+def test_every_enum_hashes_by_identity_and_keeps_its_values():
+    import enum
+
+    from gcdseq import cli, contfrac
+
+    enums = {cls for module in (families, primality, contfrac)
+             for cls in vars(module).values()
+             if isinstance(cls, type) and issubclass(cls, enum.Enum)
+             and cls.__module__.startswith("gcdseq.")}
+    assert {cls.__name__ for cls in enums} == {
+        "Kind", "Scheme", "Strategy", "Classification", "Verdict", "Method"}
+    for cls in enums:
+        assert cls.__hash__ is object.__hash__, cls
+        for member in cls:
+            assert cls(member.value) is member
+            assert member._value_ == member.value
+            assert {member: cls.__name__}[cls(member.value)] == cls.__name__
+            assert cli._jsonable(member) == member.value
+    assert [m.value for m in Classification] == ["one", "prime", "composite"]
+    assert [m.value for m in primality.Verdict] == [
+        "one", "prime", "composite", "probable_prime"]
+    assert [m.value for m in primality.Method] == [
+        "trial_division", "deterministic_mr64", "strong_probable"]
+    assert [m.value for m in Strategy] == ["exact", "modular"]
+    assert [str(f) for f in (MAIN, quadratic(2), linear(3), ROWLAND)] == [
+        "main", "quad:2", "linear:3", "rowland"]
+    assert term(MAIN, 8).as_dict()["class"] == "prime"
+    assert term(MAIN, 3, Strategy.EXACT_BIGINT).as_dict() == {
+        "family": "main", "n": 3, "x": 5, "y_mod_x": 1, "d": 1, "a": 5, "class": "prime"}
+    assert [term(MAIN, 37).as_dict()["class"], term(quadratic(3), 5).as_dict()["class"]] == [
+        "one", "composite"]
+    assert cli._jsonable(primality.is_prime(2**64 + 13)) == {
+        "value": 2**64 + 13, "verdict": "probable_prime", "method": "strong_probable"}
+    assert cli._jsonable(primality.is_prime(1)) == {
+        "value": 1, "verdict": "one", "method": "trial_division"}
+    assert cli._jsonable(contfrac.cf_spec(contfrac.Scheme.T2, 3, 5))["scheme"] == "t2"
+
+
 @pytest.mark.parametrize("bad", ["", "quad", "quad:0", "quad:x", "main:2", "primes"])
 def test_family_parse_rejects(bad):
     with pytest.raises(ValueError):
