@@ -57,6 +57,7 @@ from functools import lru_cache
 
 _STRIDE = 64  # factors per table entry, and terms per block of a walk
 _TABLE_LIMIT = 4096  # factorial_mod stores (64*j)! below this m
+_LEAF_BITS = 4000  # _product multiplies left to right up to about this size
 
 
 def backend_name():
@@ -69,7 +70,7 @@ class Factorials:
     The exact t! is kept at t = 64j only. The first request in block j
     advances it there (one ``math.perm`` for all the blocks passed), reduces
     it mod M, the product of the moduli of the block's t from the one asked
-    for to the block's end 64j + 63, and steps F = F*(t+1) mod M through the
+    for to the block's end 64j + 63 (``_product``), and steps F = F*(t+1) mod M through the
     block, keeping F mod each modulus; later requests in the block are list
     lookups, so each block is listed once. Asking for a smaller t than the
     last one, or any modulus but ``modulus(t)``, is an error, so a residue
@@ -104,13 +105,36 @@ class Factorials:
         self._start = j
         ts = range(lo, _STRIDE * (j + 1))
         moduli = [self._modulus(t) for t in ts]
-        big = math.prod(moduli)
+        big = _product(moduli)
         f = self._fact % big * math.perm(lo, lo - _STRIDE * j) % big
         listed = []
         for t, m in zip(ts, moduli):
             listed.append(f % m)
             f = f * (t + 1) % big
         self._block, self._lo, self._moduli, self._listed = j, lo, moduli, listed
+
+
+def _product(values):
+    """The product of a non-empty list of positive ints, as a balanced tree
+    once it passes ``_LEAF_BITS``.
+
+    ``math.prod`` multiplies left to right, so past a few thousand bits each
+    step multiplies a long product by one short value, and the run costs
+    about the square of the result's length. Here consecutive values are
+    grouped into leaves of about ``_LEAF_BITS`` bits, each one
+    ``math.prod``, and the leaves are multiplied in pairs, level by level,
+    so the long products meet their equals, where CPython multiplies by
+    Karatsuba. A list whose whole product stays below ``_LEAF_BITS`` (the
+    64 moduli of a block of ``main`` to n = 10**6) is one ``math.prod``.
+    """
+    width = max(values).bit_length()
+    if width * len(values) <= _LEAF_BITS:
+        return math.prod(values)
+    group = max(1, _LEAF_BITS // width)
+    values = [math.prod(values[i:i + group]) for i in range(0, len(values), group)]
+    while len(values) > 1:
+        values = [math.prod(values[i:i + 2]) for i in range(0, len(values), 2)]
+    return values[0]
 
 
 def partner_from_factorial(t, x, c, f):

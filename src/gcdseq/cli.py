@@ -67,7 +67,12 @@ _family_arg = _arg_type(_parse_family)
 _int_arg = _arg_type(read_int)
 
 
+_PLAIN = (int, str, bool, type(None))  # JSON already, and the most common by far
+
+
 def _jsonable(obj):
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a record
         return {name: _jsonable(value) for name, value in zip(obj._fields, obj)}
     fractions = sys.modules.get("fractions")  # no Fraction exists until it is loaded

@@ -34,7 +34,8 @@ residue for residue, which is record for record: every route takes x from
 ``_form``, and ``_record`` makes d, a and the class from x and the
 residue. The routes are:
 
-* exact (``Strategy.EXACT_BIGINT``): the partner form on exact b;
+* exact (``Strategy.EXACT_BIGINT``): the partner form on exact b, read
+  from the b cache's list (``gcd_partner``);
 * column (``scan``): the partner residues of a partner form are kept once
   per process, in an append-only column of y mod x per n (``main`` and
   ``quad:1`` share one), and a scan reads them. One ``_backend.Factorials``
@@ -83,7 +84,10 @@ from . import _backend
 from .bfile import read_int
 from .errors import EmptyRange, IndexBelowDomain, UnsupportedFamily
 from .primality import Verdict, is_prime
-from .recurrences import _RecurrenceCache, b, rowland_diff
+from .recurrences import _RecurrenceCache, b, b_pair, rowland_diff, rowland_diffs
+
+# ``gcd_partner`` reads ``b_pair`` and ``scan`` reads ``rowland_diffs``; ``b``
+# stays importable from here, as perfbench's tracer wraps ``families.b``.
 
 
 class Kind(Enum):
@@ -252,9 +256,18 @@ def numerator(family: FamilySpec, n: int) -> int:
 
 
 def gcd_partner(family: FamilySpec, n: int) -> int:
-    """The quantity paired with the numerator inside the gcd, at full precision."""
-    _, t, c, e = _definition(family, n)
-    return c * b(t) + e * b(t - 1)
+    """The quantity paired with the numerator inside the gcd, at full precision.
+
+    b(t) and b(t-1) are read from the exact b cache's list when it holds
+    them (``recurrences.b_pair``), which grows it otherwise. Every partner
+    family starts at n = 3, so only a smaller n needs ``_check_index``,
+    which also names Rowland's own domain.
+    """
+    if n < 3:
+        _check_index(family, n)
+    _, t, c, e = _form(family)(n)
+    bt, bt1 = b_pair(t)
+    return (bt if c == 1 else c * bt) + e * bt1
 
 
 _PRIME_VERDICTS = (Verdict.PRIME, Verdict.PROBABLE_PRIME)
@@ -333,10 +346,10 @@ class _ResidueColumn(_RecurrenceCache):
             shift = first - form(first)[1]  # n - t, the same for every n
             self._walk = _backend.Factorials(
                 lambda t: 2 * form(t + shift)[0], first - shift)
-        walk = self._walk
+        walk, b_mod_pair = self._walk, _backend.b_mod_pair
         for n in range(first + len(terms), first + pos + 1):
             x, t, c, _ = form(n)
-            y = _backend.b_mod_pair(t, x, walk, c)
+            y = b_mod_pair(t, x, walk, c)
             try:
                 terms.append(y)
             except OverflowError:  # a residue of 2**64 or more: widen
@@ -383,12 +396,14 @@ def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
 
     The partner residues come from the family's column, or from the
     single-term route per term when the range starts far past the column's end (module
-    docstring). A Rowland scan has no partner and reads no column.
+    docstring). A Rowland scan has no partner and reads no column: it grows
+    the Rowland cache once, to r(n_to + 1), and reads the differences from
+    its list.
     """
     _check_range(family, n_from, n_to)
     if family.kind is _ROWLAND:
-        for n in range(n_from, n_to + 1):
-            yield _term(family, n, _MODULAR_FAST)
+        for n, diff in zip(range(n_from, n_to + 1), rowland_diffs(n_from, n_to)):
+            yield _record(family, n, diff, 0, 1)
         return
     form = _form(family)
     for n, y_mod_x in zip(range(n_from, n_to + 1), _partner_residues(family, n_from, n_to)):
@@ -472,15 +487,16 @@ def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
     """
     mismatches = []
     checked = 0
+    single = _partner_residue
     for family in specs:
         first = family.first_index
         _check_range(family, first, n_to)
-        form = _form(family)
-        for n, scanned in zip(range(first, n_to + 1), _partner_residues(family, first, n_to)):
+        form, residues = _form(family), _partner_residues(family, first, n_to)
+        checked += n_to - first + 1
+        for n, scanned in zip(range(first, n_to + 1), residues):
             x, t, c, e = form(n)
-            exact = gcd_partner(family, n) % x
-            fast = _partner_residue(x, t, c, e)
-            checked += 1
+            exact = gcd_partner(family, n) % x  # the module's name: perfbench counts it
+            fast = single(x, t, c, e)
             if exact != fast or exact != scanned:
                 mismatch = {"family": str(family), "n": n,
                             "exact": _record(family, n, x, exact).as_dict(),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
+from operator import sub
 
 from .errors import IndexBelowDomain, InexactDivision
 
@@ -74,6 +75,15 @@ def b(n: int) -> int:
     return _b_cache.value(n)
 
 
+def b_pair(t: int) -> tuple[int, int]:
+    """(b(t), b(t-1)) for t >= 0, read from the cache's list when it holds
+    both, else grown through ``b``."""
+    terms = _b_cache._terms  # b(t) at position t + 1
+    if 0 < t + 1 < len(terms):
+        return terms[t + 1], terms[t]
+    return b(t), b(t - 1)
+
+
 # !n = !(n-1) + (n-1)!, and (n-1)! = (n-1) * (!(n-1) - !(n-2)).
 _lf_cache = _RecurrenceCache(
     first_index=0,
@@ -110,3 +120,13 @@ def rowland_term(n: int) -> int:
 def rowland_diff(n: int) -> int:
     """First difference r(n+1) - r(n), n >= 1."""
     return rowland_term(n + 1) - rowland_term(n)
+
+
+def rowland_diffs(n_from: int, n_to: int):
+    """The first differences r(n+1) - r(n) for n_from <= n <= n_to, read from
+    the cache's list after one growth to r(n_to + 1)."""
+    if n_from < 1:
+        raise IndexBelowDomain(f"index {n_from} below domain start 1")
+    rowland_term(n_to + 1)
+    terms = _rowland_cache._terms  # r(n) at position n - 1
+    return map(sub, terms[n_from:n_to + 1], terms[n_from - 1:n_to])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcdseq import _backend, families, primality
+from gcdseq import _backend, families, primality, recurrences
 from gcdseq.errors import IndexBelowDomain, UnsupportedFamily
 from gcdseq.families import (
     MAIN,
@@ -28,7 +28,7 @@ from gcdseq.families import (
     verify_strategy_equivalence,
 )
 from gcdseq.primality import factor
-from gcdseq.recurrences import b, left_factorial
+from gcdseq.recurrences import b, left_factorial, rowland_diff
 
 from expected_terms import LINEAR_PREFIX, MAIN_PREFIX, QUAD_PREFIX, ROWLAND_DIFF_PREFIX
 from reference_chain import second_order_chain
@@ -154,6 +154,48 @@ def test_gcd_partner_exact_values():
     assert gcd_partner(linear(1), 5) == 33  # b(3) + b(2)
 
 
+def _b_by_recurrence(t):
+    """(b(t), b(t-1)) from b(-1) = 0, b(0) = 1, with no cache."""
+    prev, cur = 0, 1
+    for j in range(1, t + 1):
+        prev, cur = cur, (j + 2) * (cur - prev)
+    return cur, prev
+
+
+@pytest.mark.parametrize("text", ["main", "quad:1", "quad:3", "linear:1", "linear:4"])
+@pytest.mark.parametrize("n", [3, 64, 65])
+def test_gcd_partner_reads_held_b_or_grows_the_cache(text, n):
+    # the partner forms of the module docstring, on b from the recurrence
+    kind, _, k = text.partition(":")
+    k = int(k or 1)
+    t, c, e = (n - 2, 1, k) if kind == "linear" else (n - 3, k, n)
+    bt, bt1 = _b_by_recurrence(t)
+    expected = c * bt + e * bt1
+    family = FamilySpec.parse(text)
+    b(t)  # held: read from the cache's list, which does not grow
+    with mock.patch.object(recurrences, "b", side_effect=AssertionError("grew")):
+        assert gcd_partner(family, n) == expected
+    # beyond the end of a cache that holds b(-1) and b(0) only
+    fresh = recurrences._RecurrenceCache(-1, (0, 1), recurrences._b_cache._step)
+    with (mock.patch.object(recurrences, "_b_cache", fresh),
+          mock.patch.object(recurrences, "b", wraps=recurrences.b) as grow):
+        assert gcd_partner(family, n) == expected
+    assert fresh.high_water == t
+    assert grow.called == (t > 0)
+
+
+def test_gcd_partner_domain():
+    for n in (1, 2, 3, 64):
+        with pytest.raises(UnsupportedFamily):
+            gcd_partner(ROWLAND, n)
+    with pytest.raises(IndexBelowDomain):
+        gcd_partner(ROWLAND, 0)
+    for family in (MAIN, quadratic(2), linear(3)):
+        for n in (2, 0, -5):
+            with pytest.raises(IndexBelowDomain):
+                gcd_partner(family, n)
+
+
 @pytest.mark.parametrize(
     "family,n,x,expected",
     [(MAIN, 8, 55, 35), (MAIN, 3, 5, 1), (linear(1), 5, 9, 6)],
@@ -243,6 +285,22 @@ def test_scan_linear_prefixes(k):
 def test_scan_rowland_prefix():
     values = [r.a for r in scan(ROWLAND, 1, 25)]
     assert tuple(values) == ROWLAND_DIFF_PREFIX
+
+
+def test_rowland_scan_from_a_mid_start_past_the_cache():
+    r, diffs = 7, {}  # r(1) = 7 and r(n) = r(n-1) + gcd(n, r(n-1)), without the cache
+    for n in range(2, 92):
+        step = math.gcd(n, r)
+        diffs[n - 1] = step
+        r += step
+    fresh = recurrences._RecurrenceCache(1, (7,), recurrences._rowland_cache._step)
+    with mock.patch.object(recurrences, "_rowland_cache", fresh):
+        scanned = list(scan(ROWLAND, 40, 90))  # the cache holds r(1) alone
+        assert fresh.high_water == 91
+        assert scanned == [term(ROWLAND, n) for n in range(40, 91)]
+        assert [rec.a for rec in scanned] == [rowland_diff(n) for n in range(40, 91)]
+    assert [rec.a for rec in scanned] == [diffs[n] for n in range(40, 91)]
+    assert [rec.n for rec in scanned] == list(range(40, 91))
 
 
 def test_scan_bounds():

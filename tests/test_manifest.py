@@ -9,7 +9,8 @@ invocations are the ten ``verify`` suites at their defaults, every argv of
 the benchmark's workloads (``perfbench/run.py``, at its default seed),
 ``gen`` in each format, with and without ``--cache``, for five families,
 far ``gen`` starts that take the single-term route per term, ``cf`` in
-both schemes and ``oeis-check`` on b-files that ``gen`` wrote. They run in
+both schemes, ``oeis-check`` on b-files that ``gen`` wrote and one term of
+a family whose k has 4,300 digits. They run in
 this process, through ``cli.main``, sharing its caches, as the benchmark's
 ``session`` does.
 
@@ -78,6 +79,9 @@ def invocations():
                       "--format", "bfile", "--offset", offset, "--out", path])
         check = ["oeis-check", "--bfile", path, "--family", family, "--offset"]
         argvs += [check + [offset], check + ["auto"], check + ["1"]]  # the last diverges
+    # a k of 4,300 digits, Python's default limit: a block of 63 moduli of
+    # about 14,000 bits each, whose product the walk builds as a tree
+    argvs.append(["gen", "--family", f"linear:{10**4299 + 1}", "--from", "3", "--to", "3"])
     return argvs
 
 

@@ -6,9 +6,11 @@ from gcdseq.errors import IndexBelowDomain
 from gcdseq.primality import Verdict, is_prime
 from gcdseq.recurrences import (
     b,
+    b_pair,
     b_via_left_factorial,
     left_factorial,
     rowland_diff,
+    rowland_diffs,
     rowland_term,
 )
 
@@ -106,6 +108,16 @@ def test_rowland_nondecreasing_and_diffs_one_or_odd_prime():
             assert diff % 2 == 1
             assert is_prime(diff).verdict is Verdict.PRIME
         prev = cur
+
+
+def test_b_pair_and_rowland_diffs_match_the_single_reads():
+    assert [b_pair(t) for t in range(0, 70)] == [(b(t), b(t - 1)) for t in range(0, 70)]
+    assert list(rowland_diffs(1, 80)) == [rowland_diff(n) for n in range(1, 81)]
+    assert list(rowland_diffs(30, 29)) == []
+    with pytest.raises(IndexBelowDomain):
+        b_pair(-1)
+    with pytest.raises(IndexBelowDomain):
+        rowland_diffs(0, 5)
 
 
 def test_b_cache_concurrent_reads():
