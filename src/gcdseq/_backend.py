@@ -127,10 +127,7 @@ def _product(values):
     Karatsuba. A list whose whole product stays below ``_LEAF_BITS`` (the
     64 moduli of a block of ``main`` to n = 10**6) is one ``math.prod``.
     """
-    width = max(values).bit_length()
-    if width * len(values) <= _LEAF_BITS:
-        return math.prod(values)
-    group = max(1, _LEAF_BITS // width)
+    group = max(1, _LEAF_BITS // max(values).bit_length())
     values = [math.prod(values[i:i + group]) for i in range(0, len(values), group)]
     while len(values) > 1:
         values = [math.prod(values[i:i + 2]) for i in range(0, len(values), 2)]

@@ -258,8 +258,8 @@ def numerator(family: FamilySpec, n: int) -> int:
 def gcd_partner(family: FamilySpec, n: int) -> int:
     """The quantity paired with the numerator inside the gcd, at full precision.
 
-    b(t) and b(t-1) are read from the exact b cache's list when it holds
-    them (``recurrences.b_pair``), which grows it otherwise. Every partner
+    b(t) and b(t-1) are one slice of the exact b cache's list
+    (``recurrences.b_pair``), grown first when it ends before b(t). Every partner
     family starts at n = 3, so only a smaller n needs ``_check_index``,
     which also names Rowland's own domain.
     """
@@ -356,10 +356,6 @@ class _ResidueColumn(_RecurrenceCache):
                 terms = self._terms = list(terms)
                 terms.append(y)
 
-    def residues(self, n_from: int, n_to: int):
-        """The residues held for n_from..n_to."""
-        return self._terms[n_from - self._first:n_to - self._first + 1]
-
 
 _COLUMNS: dict[FamilySpec, _ResidueColumn] = {}
 
@@ -387,8 +383,7 @@ def _partner_residues(family: FamilySpec, n_from: int, n_to: int):
     if n_from - column.high_water - 1 > n_to - n_from:
         form = _form(family)
         return (_partner_residue(*form(n)) for n in range(n_from, n_to + 1))
-    column.value(n_to)
-    return column.residues(n_from, n_to)
+    return column.values(n_from, n_to)
 
 
 def scan(family: FamilySpec, n_from: int, n_to: int) -> Iterator[TermRecord]:
@@ -493,7 +488,7 @@ def verify_strategy_equivalence(specs, n_to: int) -> StrategyEquivalenceReport:
         _check_range(family, first, n_to)
         form, residues = _form(family), _partner_residues(family, first, n_to)
         checked += n_to - first + 1
-        for n, scanned in zip(range(first, n_to + 1), residues):
+        for n, scanned in zip(range(first, n_to + 1), residues, strict=True):
             x, t, c, e = form(n)
             exact = gcd_partner(family, n) % x  # the module's name: perfbench counts it
             fast = single(x, t, c, e)

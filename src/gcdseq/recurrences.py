@@ -50,6 +50,16 @@ class _RecurrenceCache:
                 self._grow(pos)
         return self._terms[pos]
 
+    def values(self, n_from, n_to):
+        """The terms n_from..n_to, one slice of the list, grown to n_to first
+        when it ends before; an empty range grows nothing."""
+        first = self._first
+        if n_from < first:
+            raise IndexBelowDomain(f"index {n_from} below domain start {first}")
+        if n_to - first >= len(self._terms):
+            self.value(n_to)
+        return self._terms[n_from - first:n_to - first + 1]
+
     def _grow(self, pos):
         """Append terms until position ``pos`` is held; the caller holds the lock."""
         while len(self._terms) <= pos:
@@ -76,12 +86,9 @@ def b(n: int) -> int:
 
 
 def b_pair(t: int) -> tuple[int, int]:
-    """(b(t), b(t-1)) for t >= 0, read from the cache's list when it holds
-    both, else grown through ``b``."""
-    terms = _b_cache._terms  # b(t) at position t + 1
-    if 0 < t + 1 < len(terms):
-        return terms[t + 1], terms[t]
-    return b(t), b(t - 1)
+    """(b(t), b(t-1)) for t >= 0, one slice of the cache's list."""
+    bt1, bt = _b_cache.values(t - 1, t)
+    return bt, bt1
 
 
 # !n = !(n-1) + (n-1)!, and (n-1)! = (n-1) * (!(n-1) - !(n-2)).
@@ -125,8 +132,5 @@ def rowland_diff(n: int) -> int:
 def rowland_diffs(n_from: int, n_to: int):
     """The first differences r(n+1) - r(n) for n_from <= n <= n_to, read from
     the cache's list after one growth to r(n_to + 1)."""
-    if n_from < 1:
-        raise IndexBelowDomain(f"index {n_from} below domain start 1")
-    rowland_term(n_to + 1)
-    terms = _rowland_cache._terms  # r(n) at position n - 1
-    return map(sub, terms[n_from:n_to + 1], terms[n_from - 1:n_to])
+    terms = _rowland_cache.values(n_from, n_to + 1)
+    return map(sub, terms[1:], terms[:-1])

@@ -173,12 +173,12 @@ def test_gcd_partner_reads_held_b_or_grows_the_cache(text, n):
     expected = c * bt + e * bt1
     family = FamilySpec.parse(text)
     b(t)  # held: read from the cache's list, which does not grow
-    with mock.patch.object(recurrences, "b", side_effect=AssertionError("grew")):
+    with mock.patch.object(recurrences._b_cache, "_grow", side_effect=AssertionError("grew")):
         assert gcd_partner(family, n) == expected
     # beyond the end of a cache that holds b(-1) and b(0) only
     fresh = recurrences._RecurrenceCache(-1, (0, 1), recurrences._b_cache._step)
     with (mock.patch.object(recurrences, "_b_cache", fresh),
-          mock.patch.object(recurrences, "b", wraps=recurrences.b) as grow):
+          mock.patch.object(fresh, "_grow", wraps=fresh._grow) as grow):
         assert gcd_partner(family, n) == expected
     assert fresh.high_water == t
     assert grow.called == (t > 0)
@@ -659,6 +659,19 @@ def test_strategy_equivalence_lists_a_factor_route_mismatch():
     assert "scan" not in bad
 
 
+def test_strategy_equivalence_refuses_a_short_residue_sequence():
+    # every term it counts as checked is compared, so a route that yields
+    # fewer residues than terms is an error, not a shorter check
+    real = families._partner_residues
+
+    def one_short(family, n_from, n_to):
+        return list(real(family, n_from, n_to))[:-1]
+
+    with (mock.patch.object(families, "_partner_residues", one_short),
+          pytest.raises(ValueError)):
+        verify_strategy_equivalence([MAIN], 12)
+
+
 def test_strategy_equivalence_builds_no_record_when_clean():
     with (mock.patch.object(families, "_record", wraps=families._record) as record,
           mock.patch.object(families, "term", wraps=families.term) as one_term,
@@ -742,7 +755,7 @@ def test_column_extensions_match_a_fresh_walk_and_term(family_text, ranges):
     for recs in scanned:
         assert recs == fresh[recs[0].n - family.first_index:recs[-1].n - family.first_index + 1]
         assert recs == [term(family, rec.n) for rec in recs]
-    held = list(column.residues(family.first_index, column.high_water))
+    held = list(column.values(family.first_index, column.high_water))
     assert held == [rec.y_mod_x for rec in fresh[:column.high_water - family.first_index + 1]]
     # an array('Q') until a residue needs more than 64 bits
     assert isinstance(column._terms, list) == any(y >= 2**64 for y in held)
@@ -808,7 +821,7 @@ def test_column_widens_past_two_to_the_64(fresh_columns, k, end):
     assert list(scan(family, 3, 200)) == expected
     column = families._column(family)
     assert column.high_water == 200
-    assert max(column.residues(3, end), default=0) < 2**64 <= column.residues(end + 1, end + 1)[0]
+    assert max(column.values(3, end), default=0) < 2**64 <= column.values(end + 1, end + 1)[0]
     with (mock.patch.object(_backend, "Factorials", refuse),
           mock.patch.object(_backend, "b_mod_pair", refuse)):
         assert list(scan(family, 3, 200)) == expected
@@ -849,5 +862,5 @@ def test_column_concurrent_readers(fresh_columns):
     assert mismatches == []
     for text in texts:
         column = families._column(FamilySpec.parse(text))
-        assert list(column.residues(3, column.high_water)) == [
+        assert list(column.values(3, column.high_water)) == [
             rec.y_mod_x for rec in expected[text][:column.high_water - 2]]

@@ -5,6 +5,7 @@ import pytest
 from gcdseq.errors import IndexBelowDomain
 from gcdseq.primality import Verdict, is_prime
 from gcdseq.recurrences import (
+    _RecurrenceCache,
     b,
     b_pair,
     b_via_left_factorial,
@@ -118,6 +119,24 @@ def test_b_pair_and_rowland_diffs_match_the_single_reads():
         b_pair(-1)
     with pytest.raises(IndexBelowDomain):
         rowland_diffs(0, 5)
+
+
+def test_cache_values_slice_after_at_most_one_growth():
+    grown = []
+
+    def step(n, terms):
+        grown.append(n)
+        return terms[-1] + n
+
+    cache = _RecurrenceCache(first_index=2, initial=(5,), step=step)
+    assert cache.values(3, 3) == [8]
+    assert cache.values(2, 6) == [5, 8, 12, 17, 23]
+    assert grown == [3, 4, 5, 6]  # each term stepped once
+    assert cache.values(4, 3) == [] and cache.values(7, 6) == []
+    assert cache.values(2, 6) == [cache.value(n) for n in range(2, 7)]
+    assert grown == [3, 4, 5, 6] and cache.high_water == 6
+    with pytest.raises(IndexBelowDomain):
+        cache.values(1, 4)
 
 
 def test_b_cache_concurrent_reads():
